@@ -1,280 +1,138 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels in plain numpy.
 
-Set ``QDISCORD_DISABLE_NUMBA=1`` to force the pure-numpy path (used by the
-benchmark and as a safety hatch on platforms without numba).  The two kernels
-are the measurement-direction entropy scan behind the entropic-discord
-optimizer and the multi-start Nelder-Mead search behind the geometric-discord
-oracle; both dominate runtime on realistic workloads.
+One batched Nelder-Mead advances many independent simplices per numpy call;
+it drives both the geometric-discord oracle (one simplex per restart) and the
+entropic refinement (one simplex per refined grid point).  The two objectives
+it minimizes, the squared distance to a zero-discord state and the
+measurement-direction entropy scan, are vectorized over points.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    import numba
+from .linalg import ENTROPY_EIG_FLOOR, OUTCOME_FLOOR
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("QDISCORD_DISABLE_NUMBA", "").strip() not in ("", "0")
-USE_NUMBA = _HAVE_NUMBA and not _DISABLED
-
-ENTROPY_FLOOR = 1e-12
-OUTCOME_FLOOR = 1e-12
+# trial points cen + c (worst - cen): reflection, expansion, outside and
+# inside contraction
+_TRIAL_COEFS = np.array([-1.0, -2.0, -0.5, 0.5])[:, None]
 
 
-def _weighted_entropy(m):
-    """p * H(m / p) in bits for an unnormalized PSD block m with p = tr m."""
-    w = np.linalg.eigvalsh(m)
-    p = 0.0
-    for k in range(w.shape[0]):
-        p += w[k]
-    if p < OUTCOME_FLOOR:
-        return 0.0
-    acc = 0.0
-    for k in range(w.shape[0]):
-        wn = w[k] / p
-        if wn > ENTROPY_FLOOR:
-            acc -= wn * math.log2(wn)
-    return p * acc
+def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float):
+    """Minimize ``fun`` from R initial simplices at once; returns (f, x).
+
+    ``sim`` has shape (R, n+1, n) and ``fun`` maps an (m, n) array of points
+    to their (m,) values.  Each step sorts every simplex and reflects its
+    worst vertex through the centroid of the others; masks then pick, per
+    simplex, expansion, the reflected point, an outside or inside
+    contraction, or a shrink towards the best vertex.  A simplex whose values
+    span at most ``fatol`` and whose vertices lie within ``xatol`` of its best
+    one stops and stays frozen; the others run for at most ``maxiter`` steps.
+    Simplices never interact, so each result equals that start run alone.
+    f has shape (R,) and x shape (R, n): the best vertex of each simplex.
+    """
+    sim = np.array(sim, dtype=float)
+    r, n1, n = sim.shape
+    f = fun(sim.reshape(r * n1, n)).reshape(r, n1)
+    idx = np.arange(r)
+    rows = idx[:, None]
+    # centroid of the n best vertices of a sorted simplex
+    weights = np.append(np.full(n, 1.0 / n), 0.0)
+    active = np.ones(r, dtype=bool)
+    for _ in range(maxiter):
+        order = np.argsort(f, axis=1)
+        sim = sim[rows, order]
+        f = f[rows, order]
+        flat = active & (f[:, n] - f[:, 0] <= fatol)
+        if flat.any():
+            near = sim[flat]
+            active[flat] = np.abs(near - near[:, :1]).max(axis=(1, 2)) > xatol
+            if not active.any():
+                break
+        worst = sim[:, n]
+        fw = f[:, n]
+        cen = weights @ sim
+        trial = cen[:, None, :] + _TRIAL_COEFS * (worst - cen)[:, None, :]
+        ft = fun(trial.reshape(4 * r, n)).reshape(r, 4)
+        fr = ft[:, 0]
+        expand = fr < f[:, 0]
+        outside = fr < fw
+        # reflect; expand if that beat the best vertex; contract if it did
+        # not beat the second-worst: outside when it beat the worst, else inside
+        pick = np.where(
+            expand,
+            np.where(ft[:, 1] < fr, 1, 0),
+            np.where(fr < f[:, n - 1], 0, np.where(outside, 2, 3)),
+        )
+        fnew = ft[idx, pick]
+        accept = active & ((pick < 2) | np.where(outside, fnew <= fr, fnew < fw))
+        sim[:, n] = np.where(accept[:, None], trial[idx, pick], worst)
+        f[:, n] = np.where(accept, fnew, fw)
+        shrink = active & ~accept
+        if shrink.any():
+            s = np.flatnonzero(shrink)
+            sim[s, 1:] = sim[s, :1] + 0.5 * (sim[s, 1:] - sim[s, :1])
+            f[s, 1:] = fun(sim[s, 1:].reshape(-1, n)).reshape(s.size, n)
+    best = np.argmin(f, axis=1)
+    return f[idx, best], sim[idx, best]
 
 
-def _weighted_entropy_2x2(a, b, cre, cim):
-    """Closed-form variant of _weighted_entropy for [[a, c], [c*, b]]."""
-    p = a + b
-    if p < OUTCOME_FLOOR:
-        return 0.0
-    half_gap = 0.5 * math.sqrt((a - b) * (a - b) + 4.0 * (cre * cre + cim * cim))
-    acc = 0.0
-    w = (0.5 * p + half_gap) / p
-    if w > ENTROPY_FLOOR:
-        acc -= w * math.log2(w)
-    w = (0.5 * p - half_gap) / p
-    if w > ENTROPY_FLOOR:
-        acc -= w * math.log2(w)
-    return p * acc
+def chi_distance_sq(z, xv, yv, tmat):
+    """Squared Hilbert-Schmidt distance from the target Bloch triple
+    (xv, yv, tmat) to the zero-discord states encoded by the rows of z.
+
+    z has shape (N, 9) and the result shape (N,).  z[:, 0:2] are sphere
+    angles of the measured direction e, tanh(z[:, 2]) is the outcome bias
+    p1 - p2, and z[:, 3:6], z[:, 6:9] map into the unit ball as the Bloch
+    vectors of the two conditional states, so every z is physical.
+    """
+    zt = z.T
+    m = zt.shape[1]
+    sin = np.sin(zt[:2])
+    cos = np.cos(zt[:2])
+    t = np.tanh(zt[2])
+    p1 = 0.5 * (1.0 + t)
+    balls = zt[3:9].reshape(2, 3, m)
+    radius = np.sqrt((balls * balls).sum(axis=1))
+    weight = np.where(radius > 1e-12, np.tanh(radius) / np.maximum(radius, 1e-12), 1.0)
+    weight[0] *= p1
+    weight[1] *= 1.0 - p1
+    b1, b2 = balls * weight[:, None, :]  # p1 b1 and p2 b2
+
+    # model rows: t e, s+ = p1 b1 + p2 b2, then e_i s- for s- = p1 b1 - p2 b2
+    model = np.empty((5, 3, m))
+    e = model[0]
+    np.multiply(sin[0], cos[1], out=e[0])
+    np.multiply(sin[0], sin[1], out=e[1])
+    e[2] = cos[0]
+    np.multiply(e[:, None, :], b1 - b2, out=model[2:])
+    e *= t
+    np.add(b1, b2, out=model[1])
+    res = np.concatenate([xv, yv, np.ravel(tmat)])[:, None] - model.reshape(15, m)
+    return 0.25 * (res * res).sum(axis=0)
 
 
-def conditional_entropy_scan_loop(g0, gx, gy, gz, dirs):
+def conditional_entropy_scan(g0, gx, gy, gz, dirs):
     """Average conditional entropy of B after measuring A along each direction.
 
     g0, gx, gy, gz are the Pauli components of the state's B-side blocks;
     dirs is an (n, 3) array of unit vectors.  Returns an (n,) array of
     sum_k p_k H(rho_B|k) values in bits.
     """
-    n = dirs.shape[0]
-    out = np.empty(n)
-    if g0.shape[0] == 2:
-        # scalar fast path: 2x2 blocks never touch LAPACK
-        a0 = g0[0, 0].real
-        b0 = g0[1, 1].real
-        c0 = g0[0, 1]
-        for i in range(n):
-            e0 = dirs[i, 0]
-            e1 = dirs[i, 1]
-            e2 = dirs[i, 2]
-            ga = e0 * gx[0, 0].real + e1 * gy[0, 0].real + e2 * gz[0, 0].real
-            gb = e0 * gx[1, 1].real + e1 * gy[1, 1].real + e2 * gz[1, 1].real
-            gc = e0 * gx[0, 1] + e1 * gy[0, 1] + e2 * gz[0, 1]
-            cp = 0.5 * (c0 + gc)
-            cm = 0.5 * (c0 - gc)
-            out[i] = _weighted_entropy_2x2(
-                0.5 * (a0 + ga), 0.5 * (b0 + gb), cp.real, cp.imag
-            ) + _weighted_entropy_2x2(
-                0.5 * (a0 - ga), 0.5 * (b0 - gb), cm.real, cm.imag
-            )
-        return out
-    for i in range(n):
-        g = dirs[i, 0] * gx + dirs[i, 1] * gy + dirs[i, 2] * gz
-        out[i] = _weighted_entropy(0.5 * (g0 + g)) + _weighted_entropy(0.5 * (g0 - g))
-    return out
-
-
-def chi_distance_sq(z, xv, yv, tmat):
-    """Squared Hilbert-Schmidt distance from the target Bloch triple
-    (xv, yv, tmat) to the zero-discord state encoded by the 9 parameters z.
-
-    z[0:2] are sphere angles of the measured direction e, tanh(z[2]) is the
-    outcome bias p1 - p2, and z[3:6], z[6:9] map into the unit ball as the
-    Bloch vectors of the two conditional states, so every z is physical.
-    """
-    st = math.sin(z[0])
-    e0 = st * math.cos(z[1])
-    e1 = st * math.sin(z[1])
-    e2 = math.cos(z[0])
-    t = math.tanh(z[2])
-    p1 = 0.5 * (1.0 + t)
-    p2 = 1.0 - p1
-
-    r1 = math.sqrt(z[3] * z[3] + z[4] * z[4] + z[5] * z[5])
-    f1 = math.tanh(r1) / r1 if r1 > 1e-12 else 1.0
-    b10 = z[3] * f1
-    b11 = z[4] * f1
-    b12 = z[5] * f1
-    r2 = math.sqrt(z[6] * z[6] + z[7] * z[7] + z[8] * z[8])
-    f2 = math.tanh(r2) / r2 if r2 > 1e-12 else 1.0
-    b20 = z[6] * f2
-    b21 = z[7] * f2
-    b22 = z[8] * f2
-
-    sp0 = p1 * b10 + p2 * b20
-    sp1 = p1 * b11 + p2 * b21
-    sp2 = p1 * b12 + p2 * b22
-    sm0 = p1 * b10 - p2 * b20
-    sm1 = p1 * b11 - p2 * b21
-    sm2 = p1 * b12 - p2 * b22
-
-    dx0 = xv[0] - t * e0
-    dx1 = xv[1] - t * e1
-    dx2 = xv[2] - t * e2
-    dy0 = yv[0] - sp0
-    dy1 = yv[1] - sp1
-    dy2 = yv[2] - sp2
-    acc = dx0 * dx0 + dx1 * dx1 + dx2 * dx2
-    acc += dy0 * dy0 + dy1 * dy1 + dy2 * dy2
-
-    d = tmat[0, 0] - e0 * sm0
-    acc += d * d
-    d = tmat[0, 1] - e0 * sm1
-    acc += d * d
-    d = tmat[0, 2] - e0 * sm2
-    acc += d * d
-    d = tmat[1, 0] - e1 * sm0
-    acc += d * d
-    d = tmat[1, 1] - e1 * sm1
-    acc += d * d
-    d = tmat[1, 2] - e1 * sm2
-    acc += d * d
-    d = tmat[2, 0] - e2 * sm0
-    acc += d * d
-    d = tmat[2, 1] - e2 * sm1
-    acc += d * d
-    d = tmat[2, 2] - e2 * sm2
-    acc += d * d
-    return 0.25 * acc
-
-
-def _nelder_mead_chi(x0, xv, yv, tmat, maxiter, fatol, xatol):
-    """Nelder-Mead on chi_distance_sq starting from x0; returns (f, z)."""
-    n = x0.shape[0]
-    sim = np.empty((n + 1, n))
-    fvals = np.empty(n + 1)
-    sim[0] = x0
-    fvals[0] = chi_distance_sq(x0, xv, yv, tmat)
-    for i in range(n):
-        pt = x0.copy()
-        pt[i] += 0.5
-        sim[i + 1] = pt
-        fvals[i + 1] = chi_distance_sq(pt, xv, yv, tmat)
-
-    for _ in range(maxiter):
-        order = np.argsort(fvals)
-        sim = sim[order]
-        fvals = fvals[order]
-
-        if fvals[n] - fvals[0] <= fatol:
-            spread = 0.0
-            for i in range(1, n + 1):
-                for j in range(n):
-                    dd = abs(sim[i, j] - sim[0, j])
-                    if dd > spread:
-                        spread = dd
-            if spread <= xatol:
-                break
-
-        cen = np.zeros(n)
-        for i in range(n):
-            cen += sim[i]
-        cen /= n
-
-        xr = 2.0 * cen - sim[n]
-        fr = chi_distance_sq(xr, xv, yv, tmat)
-        if fr < fvals[0]:
-            xe = cen + 2.0 * (cen - sim[n])
-            fe = chi_distance_sq(xe, xv, yv, tmat)
-            if fe < fr:
-                sim[n] = xe
-                fvals[n] = fe
-            else:
-                sim[n] = xr
-                fvals[n] = fr
-        elif fr < fvals[n - 1]:
-            sim[n] = xr
-            fvals[n] = fr
-        else:
-            shrink = False
-            if fr < fvals[n]:
-                xc = cen + 0.5 * (xr - cen)
-                fc = chi_distance_sq(xc, xv, yv, tmat)
-                if fc <= fr:
-                    sim[n] = xc
-                    fvals[n] = fc
-                else:
-                    shrink = True
-            else:
-                xc = cen + 0.5 * (sim[n] - cen)
-                fc = chi_distance_sq(xc, xv, yv, tmat)
-                if fc < fvals[n]:
-                    sim[n] = xc
-                    fvals[n] = fc
-                else:
-                    shrink = True
-            if shrink:
-                for i in range(1, n + 1):
-                    sim[i] = sim[0] + 0.5 * (sim[i] - sim[0])
-                    fvals[i] = chi_distance_sq(sim[i], xv, yv, tmat)
-
-    order = np.argsort(fvals)
-    return fvals[order[0]], sim[order[0]].copy()
-
-
-def oracle_search(xv, yv, tmat, starts, maxiter, fatol, xatol):
-    """Best (value, parameters) of chi_distance_sq over multi-start Nelder-Mead."""
-    best_f = np.inf
-    best_z = starts[0].copy()
-    for s in range(starts.shape[0]):
-        f, z = _nelder_mead_chi(starts[s], xv, yv, tmat, maxiter, fatol, xatol)
-        if f < best_f:
-            best_f = f
-            best_z = z
-    return best_f, best_z
-
-
-if USE_NUMBA:
-    _weighted_entropy = numba.njit(cache=True)(_weighted_entropy)
-    _weighted_entropy_2x2 = numba.njit(cache=True)(_weighted_entropy_2x2)
-    conditional_entropy_scan_loop = numba.njit(cache=True)(conditional_entropy_scan_loop)
-    chi_distance_sq = numba.njit(cache=True)(chi_distance_sq)
-    _nelder_mead_chi = numba.njit(cache=True)(_nelder_mead_chi)
-    oracle_search = numba.njit(cache=True)(oracle_search)
-
-
-def conditional_entropy_scan_numpy(g0, gx, gy, gz, dirs):
-    """Vectorized numpy implementation of :func:`conditional_entropy_scan_loop`."""
-    g = np.tensordot(dirs, np.stack([gx, gy, gz]), axes=(1, 0))
-
-    def term(blocks):
+    d = g0.shape[0]
+    g = (dirs @ np.stack([gx, gy, gz]).reshape(3, d * d)).reshape(-1, d, d)
+    blocks = 0.5 * (g0 + np.stack([g, -g]))  # the two outcomes' unnormalized B states
+    if d == 2:
+        # closed-form eigenvalues of [[a, c], [c*, b]]
+        a = blocks[..., 0, 0].real
+        b = blocks[..., 1, 1].real
+        c = blocks[..., 0, 1]
+        half_gap = 0.5 * np.sqrt((a - b) ** 2 + 4.0 * (c.real**2 + c.imag**2))
+        mid = 0.5 * (a + b)
+        w = np.stack([mid - half_gap, mid + half_gap], axis=-1)
+    else:
         w = np.linalg.eigvalsh(blocks)
-        p = w.sum(axis=1)
-        wn = w / np.maximum(p, OUTCOME_FLOOR)[:, None]
-        ent = -np.where(wn > ENTROPY_FLOOR, wn * np.log2(np.maximum(wn, ENTROPY_FLOOR)), 0.0)
-        return np.where(p > OUTCOME_FLOOR, p * ent.sum(axis=1), 0.0)
-
-    return term(0.5 * (g0 + g)) + term(0.5 * (g0 - g))
-
-
-def conditional_entropy_scan(g0, gx, gy, gz, dirs):
-    """Dispatch to the jitted loop or the vectorized numpy fallback.
-
-    The jitted loop wins for qubit blocks (closed-form eigenvalues) and for
-    the short batches issued by simplex refinement; batched LAPACK is faster
-    for large grids over wider B sides.
-    """
-    if USE_NUMBA and (g0.shape[0] == 2 or dirs.shape[0] <= 256):
-        return conditional_entropy_scan_loop(g0, gx, gy, gz, dirs)
-    return conditional_entropy_scan_numpy(g0, gx, gy, gz, dirs)
+    p = w.sum(axis=-1)
+    wn = w / np.maximum(p, OUTCOME_FLOOR)[..., None]
+    ent = -np.where(wn > ENTROPY_EIG_FLOOR, wn * np.log2(np.maximum(wn, ENTROPY_EIG_FLOOR)), 0.0)
+    return np.where(p > OUTCOME_FLOOR, p * ent.sum(axis=-1), 0.0).sum(axis=0)

@@ -21,7 +21,14 @@ from .correlation import (
     partial_rows_witness,
     zero_discord_test,
 )
-from .dqc1 import Dqc1Instance, dqc1_classicality_check, dqc1_exact_readout, dqc1_output_state, dqc1_sample_trace
+from .dqc1 import (
+    MAX_REGISTER_QUBITS,
+    Dqc1Instance,
+    dqc1_classicality_check,
+    dqc1_exact_readout,
+    dqc1_output_state,
+    dqc1_sample_trace,
+)
 from .entropic import (
     GRID_POINTS,
     MEASUREMENT_CLASS,
@@ -29,7 +36,7 @@ from .entropic import (
     classical_correlation_qa,
     mutual_information,
 )
-from .errors import QDiscordError, ValidationError
+from .errors import DimensionError, QDiscordError, ValidationError
 from .geometric import geometric_discord_2q, geometric_discord_oracle
 from .states import (
     bell_diagonal_state,
@@ -110,6 +117,8 @@ def cmd_dqc1(args) -> int:
             raise ValidationError(f"unitary dimension {u.shape[0]} is not a power of 2")
     else:
         n = args.random_n
+        if not 1 <= n <= MAX_REGISTER_QUBITS:
+            raise DimensionError(f"register size must be 1..{MAX_REGISTER_QUBITS}, got {n}")
         u = random_unitary(2**n, args.seed)
     inst = Dqc1Instance(n=n, alpha=args.alpha, unitary=u)
     state = dqc1_output_state(inst)
@@ -134,10 +143,10 @@ def cmd_dqc1(args) -> int:
     return 0
 
 
-def _parse_triple(text: str, kind: type):
+def _parse_values(text: str, kind: type, count: int):
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValidationError(f"expected three comma-separated values, got {text!r}")
+    if len(parts) != count:
+        raise ValidationError(f"expected {count} comma-separated values, got {text!r}")
     try:
         return [kind(p) for p in parts]
     except ValueError as exc:
@@ -149,15 +158,15 @@ def cmd_catalog(args) -> int:
     if name == "bell":
         if args.params is None:
             raise ValidationError("catalog bell needs an index 0..3")
-        rho = bell_state(int(args.params))
+        rho = bell_state(*_parse_values(args.params, int, 1))
     elif name == "bell-diagonal":
         if args.params is None:
             raise ValidationError("catalog bell-diagonal needs t1,t2,t3")
-        rho = bell_diagonal_state(_parse_triple(args.params, float))
+        rho = bell_diagonal_state(_parse_values(args.params, float, 3))
     elif name == "facet":
         if args.params is None:
             raise ValidationError("catalog facet needs s1,s2,s3 with each +-1")
-        rho = facet_state(*_parse_triple(args.params, int))
+        rho = facet_state(*_parse_values(args.params, int, 3))
     elif name == "four-nonorthogonal":
         rho = four_nonorthogonal_state()
     else:
@@ -197,6 +206,20 @@ def cmd_entropic(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdiscord",
@@ -207,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full discord report for a state file")
     p.add_argument("state", help="state file (JSON)")
-    p.add_argument("--rank-tol", type=float, default=RANK_RTOL, help="relative rank cutoff")
-    p.add_argument("--comm-tol", type=float, default=COMMUTATOR_TOL, help="commutator tolerance")
+    p.add_argument("--rank-tol", type=_tolerance, default=RANK_RTOL, help="relative rank cutoff")
+    p.add_argument("--comm-tol", type=_tolerance, default=COMMUTATOR_TOL, help="commutator tolerance")
     p.add_argument("--ent-grid", type=int, default=GRID_POINTS, help="measurement grid size")
     p.add_argument("--ent-refine", type=int, default=REFINE_ITERS, help="refinement iterations")
     p.set_defaults(func=cmd_analyze)
@@ -223,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--random-n", type=int, help="Haar-random unitary on n qubits")
     p.add_argument("--alpha", type=float, default=1.0, help="control-qubit purity in (0, 1]")
     p.add_argument("--samples", type=int, default=100000, help="shots per observable")
-    p.add_argument("--seed", type=int, default=0, help="seed for unitary and sampling")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for unitary and sampling")
     p.set_defaults(func=cmd_dqc1)
 
     p = sub.add_parser("catalog", help="write a named state as a state file")
@@ -236,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state file (JSON)")
     p.add_argument("--oracle", action="store_true", help="also run the minimization oracle")
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_geometric)
 
     p = sub.add_parser("entropic", help="entropic discord of a state with qubit A side")
@@ -251,9 +274,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (QDiscordError, OSError, ValueError) as exc:
+    except (QDiscordError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # every bad input raises one of the above
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

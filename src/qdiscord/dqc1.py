@@ -20,12 +20,15 @@ from .linalg import DensityMatrix
 UNITARY_ATOL = 1e-9
 CLASSICALITY_RTOL = 1e-9
 MAX_REGISTER_QUBITS = 11
+MAX_SAMPLES = int(np.iinfo(np.int64).max)
 
 
 def _check_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"unitary must be square, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise NotUnitaryError("unitary has non-finite entries")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
     if defect > atol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {atol:.1e}")
@@ -97,8 +100,8 @@ def dqc1_sample_trace(inst: Dqc1Instance, samples: int, seed: int) -> TraceEstim
     observables are measured in separate shot batches.  Deterministic per
     seed; the estimator is unbiased with standard error scaling 1/alpha.
     """
-    if samples < 1:
-        raise ValidationError("need at least one sample")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValidationError(f"samples must lie in 1..{MAX_SAMPLES}, got {samples}")
     state = dqc1_output_state(inst)
     exact = dqc1_exact_readout(state, inst.alpha)
     p1 = float(np.clip((1.0 + inst.alpha * exact.real) / 2.0, 0.0, 1.0))
@@ -148,5 +151,9 @@ def dqc1_classicality_check(u, tol: float = CLASSICALITY_RTOL) -> Dqc1Classicali
     zero = bool(defect <= tol * np.linalg.norm(u2))
     if not zero:
         return Dqc1Classicality(zero_discord=False, phase=None)
-    assert _hermitian_parts_dependent(u, max(tol, 1e-12) * 10.0)
+    if not _hermitian_parts_dependent(u, max(tol, 1e-12) * 10.0):
+        raise RuntimeError(
+            "internal inconsistency: U^2 is proportional to the identity but the "
+            "Hermitian parts of U are linearly independent"
+        )
     return Dqc1Classicality(zero_discord=True, phase=float(np.angle(c) / 2.0))

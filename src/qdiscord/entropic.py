@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from ._accel import conditional_entropy_scan
+from ._accel import conditional_entropy_scan, nelder_mead
 from .errors import DimensionError, ValidationError
-from .linalg import DensityMatrix, partial_trace, von_neumann_entropy
+from .linalg import OUTCOME_FLOOR, DensityMatrix, partial_trace, von_neumann_entropy
 
-OUTCOME_FLOOR = 1e-12
 GRID_POINTS = 2048
 REFINE_ITERS = 200
 REFINE_STARTS = 8
@@ -125,9 +123,24 @@ def _pauli_blocks(rho: DensityMatrix):
 
 
 def _angles_to_dir(angles: np.ndarray) -> np.ndarray:
-    theta, phi = angles
+    """Unit vectors (..., 3) from sphere angles (..., 2) = (theta, phi)."""
+    theta = angles[..., 0]
+    phi = angles[..., 1]
     st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def _initial_simplices(x0: np.ndarray) -> np.ndarray:
+    """Nelder-Mead start simplices (R, n+1, n) around the rows of x0 (R, n).
+
+    Vertex k+1 scales coordinate k by 1.05, or sets it to 0.00025 when it is
+    zero: the customary default start simplex of Nelder-Mead codes.
+    """
+    r, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(x0 != 0.0, 1.05 * x0, 0.00025)
+    return sim
 
 
 @dataclass(frozen=True)
@@ -158,6 +171,11 @@ def classical_correlation_qa(
         raise DimensionError(
             f"measurement optimizer supports d_A = 2 only, got d_A = {rho.dim_a}"
         )
+    if grid_points < 1 or refine_iters < 0 or refine_starts < 0:
+        raise ValidationError(
+            f"need grid_points >= 1 and refine_iters, refine_starts >= 0; got "
+            f"{grid_points}, {refine_iters}, {refine_starts}"
+        )
     g0, gx, gy, gz = _pauli_blocks(rho)
     dirs = fibonacci_sphere(grid_points)
     values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
@@ -167,27 +185,22 @@ def classical_correlation_qa(
     best_val = float(values[best_idx])
     best_dir = dirs[best_idx]
 
-    def objective(angles):
-        d = np.ascontiguousarray(_angles_to_dir(angles).reshape(1, 3))
-        return float(conditional_entropy_scan(g0, gx, gy, gz, d)[0])
-
-    for idx in best_order[:refine_starts]:
-        e = dirs[int(idx)]
-        theta = float(np.arccos(np.clip(e[2], -1.0, 1.0)))
-        phi = float(np.arctan2(e[1], e[0]))
-        res = minimize(
-            objective,
-            np.array([theta, phi]),
-            method="Nelder-Mead",
-            options={
-                "maxiter": refine_iters,
-                "xatol": 1e-10,
-                "fatol": 1e-13,
-            },
+    starts = dirs[best_order[:refine_starts]]
+    if len(starts):
+        angles = np.column_stack(
+            [np.arccos(np.clip(starts[:, 2], -1.0, 1.0)), np.arctan2(starts[:, 1], starts[:, 0])]
         )
-        if res.fun < best_val - 1e-15:
-            best_val = float(res.fun)
-            best_dir = _angles_to_dir(res.x)
+        refined, minimizers = nelder_mead(
+            lambda a: conditional_entropy_scan(g0, gx, gy, gz, _angles_to_dir(a)),
+            _initial_simplices(angles),
+            refine_iters,
+            fatol=1e-13,
+            xatol=1e-10,
+        )
+        for value, x in zip(refined, minimizers):
+            if value < best_val - 1e-15:
+                best_val = float(value)
+                best_dir = _angles_to_dir(x)
 
     h_b = von_neumann_entropy(partial_trace(rho, "B"))
     return ClassicalCorrelationResult(

@@ -25,8 +25,11 @@ class OutsidePhysicalError(QDiscordError):
     """Requested parameters do not correspond to a physical state."""
 
 
-class ValidationError(QDiscordError):
-    """A value failed its declared invariants (trace, positivity, ...)."""
+class ValidationError(QDiscordError, ValueError):
+    """A value failed its declared invariants (trace, positivity, ...).
+
+    Also a ValueError, so callers that catch bad values generically see it.
+    """
 
 
 class ParseError(QDiscordError):

@@ -8,6 +8,7 @@ row per line.  Floats serialize through repr (shortest round-trip form, up to
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -42,6 +43,31 @@ def _load_json(text: str) -> Any:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
+def _read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v: Any, where: str) -> float:
+    """A finite JSON number as a float; booleans, NaN and infinities are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"{where} must be a number, got {json.dumps(v)[:40]}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{where} must be finite, got {json.dumps(v)[:40]}")
+    return x
+
+
 def _parse_complex_matrix(obj: Any, what: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{what}: 'matrix' must be a non-empty array of rows")
@@ -51,13 +77,10 @@ def _parse_complex_matrix(obj: Any, what: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{what}: row {i} must hold {n} entries")
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-            ):
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"{what}: entry ({i}, {j}) must be an [re, im] pair")
-            mat[i, j] = complex(pair[0], pair[1])
+            re, im = (_number(v, f"{what}: entry ({i}, {j})") for v in pair)
+            mat[i, j] = complex(re, im)
     return mat
 
 
@@ -74,7 +97,7 @@ def parse_state_document(text: str) -> DensityMatrix:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(_is_int(d) and d >= 1 for d in dims)
     ):
         raise ParseError("'dims' must be two positive integers")
     mat = _parse_complex_matrix(obj["matrix"], "state file")
@@ -91,8 +114,7 @@ def save_state(rho: DensityMatrix, path) -> None:
 
 
 def load_state(path) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_state_document(f.read())
+    return parse_state_document(_read_text(path))
 
 
 def unitary_document(u: np.ndarray) -> str:
@@ -112,8 +134,7 @@ def save_unitary(u: np.ndarray, path) -> None:
 
 
 def load_unitary(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_unitary_document(f.read())
+    return parse_unitary_document(_read_text(path))
 
 
 def rows_document(dim_a: int, dim_b: int, rows) -> str:
@@ -139,7 +160,7 @@ def parse_rows_document(text: str):
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 2 for d in dims)
+        or not all(_is_int(d) and d >= 2 for d in dims)
     ):
         raise ParseError("'dims' must be two integers >= 2")
     rows = []
@@ -151,7 +172,10 @@ def parse_rows_document(text: str):
         values = entry["values"]
         if not isinstance(values, list) or len(values) != dims[1] ** 2:
             raise ParseError(f"row {i} must hold {dims[1] ** 2} values")
-        rows.append((int(entry["a_index"]), np.asarray(values, dtype=float)))
+        if not _is_int(entry["a_index"]) or not 0 <= entry["a_index"] < dims[0] ** 2:
+            raise ParseError(f"row {i}: 'a_index' must be an integer in 0..{dims[0] ** 2 - 1}")
+        vector = np.array([_number(v, f"row {i}, value {k}") for k, v in enumerate(values)])
+        rows.append((entry["a_index"], vector))
     return dims[0], dims[1], rows
 
 
@@ -161,8 +185,7 @@ def save_rows(dim_a: int, dim_b: int, rows, path) -> None:
 
 
 def load_rows(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_rows_document(f.read())
+    return parse_rows_document(_read_text(path))
 
 
 @dataclass

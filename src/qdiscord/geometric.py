@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .errors import DimensionError, OutsidePhysicalError
+from .errors import DimensionError, OutsidePhysicalError, ValidationError
 from .linalg import ID2, PAULIS, DensityMatrix, _as_matrix
 
 GEOM_PSD_SLACK = 1e-8
@@ -212,12 +212,15 @@ def geometric_discord_oracle(
     direction, outcome bias, two conditional Bloch vectors); independent of
     the closed form and used to validate it.
     """
+    if restarts < 1:
+        raise ValidationError(f"the oracle needs at least one restart, got {restarts}")
     b = bloch_triple(rho)
     starts = oracle_starts(restarts, seed)
-    best, _ = _accel.oracle_search(
-        b.x, b.y, np.ascontiguousarray(b.corr), starts, maxiter, 1e-13, 1e-8
+    sim = starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
+    best, _ = _accel.nelder_mead(
+        lambda z: _accel.chi_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8
     )
-    return float(best)
+    return float(best.min())
 
 
 def random_zero_discord_state(seed: int) -> DensityMatrix:

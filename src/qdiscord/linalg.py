@@ -20,6 +20,8 @@ PSD_ATOL = 1e-10
 
 # Eigenvalues below this threshold contribute nothing to entropies.
 ENTROPY_EIG_FLOOR = 1e-12
+# Measurement outcomes less likely than this are dropped.
+OUTCOME_FLOOR = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -62,6 +64,10 @@ class DensityMatrix:
             raise DimensionError(
                 f"matrix shape {mat.shape} does not match dims ({self.dim_a}, {self.dim_b})"
             )
+        finite = np.isfinite(mat)
+        if not finite.all():
+            i, j = (int(v) for v in np.argwhere(~finite)[0])
+            raise ValidationError(f"entry ({i}, {j}) is not finite: {mat[i, j]}")
         herm_defect = np.linalg.norm(mat - mat.conj().T)
         if herm_defect > HERMITIAN_ATOL:
             raise ValidationError(f"not Hermitian: defect {herm_defect:.3e}")

@@ -47,7 +47,7 @@ def bell_diagonal_state(t) -> DensityMatrix:
 def bell_state(index: int) -> DensityMatrix:
     """One of the four Bell states: 0 Phi+, 1 Phi-, 2 Psi+, 3 Psi-."""
     if index not in _BELL_T:
-        raise ValueError(f"Bell index must be 0..3, got {index}")
+        raise ValidationError(f"Bell index must be 0..3, got {index}")
     return bell_diagonal_state(_BELL_T[index])
 
 
@@ -59,7 +59,7 @@ def facet_state(s1: int, s2: int, s3: int) -> DensityMatrix:
     """
     signs = (s1, s2, s3)
     if any(s not in (1, -1) for s in signs):
-        raise ValueError(f"facet signs must be +1 or -1, got {signs}")
+        raise ValidationError(f"facet signs must be +1 or -1, got {signs}")
     return bell_diagonal_state(np.array(signs, dtype=float) / 3.0)
 
 
@@ -88,7 +88,7 @@ def classical_quantum_state(p, kets, states) -> DensityMatrix:
     kets = [np.asarray(k, dtype=complex) for k in kets]
     mats = [np.asarray(getattr(s, "mat", s), dtype=complex) for s in states]
     if len(kets) != len(p) or len(mats) != len(p):
-        raise ValueError("p, kets and states must have equal lengths")
+        raise ValidationError("p, kets and states must have equal lengths")
     if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-10:
         raise ValidationError(f"probabilities must be nonnegative and sum to 1, got {p.tolist()}")
     dim_a = kets[0].shape[0]

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -157,6 +161,32 @@ class TestClassicality:
     def test_rejects_non_unitary(self):
         with pytest.raises(qd.NotUnitaryError):
             qd.dqc1_classicality_check(np.ones((2, 2)))
+
+    def test_inconsistent_parts_raise_internal_error(self, monkeypatch):
+        monkeypatch.setattr(qd.dqc1, "_hermitian_parts_dependent", lambda u, tol: False)
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        with pytest.raises(RuntimeError, match="internal inconsistency"):
+            qd.dqc1_classicality_check(h)
+
+    def test_internal_check_survives_optimized_mode(self):
+        # python -O strips assert statements; the check must not be one
+        code = (
+            "import numpy as np, qdiscord.dqc1 as m\n"
+            "m._hermitian_parts_dependent = lambda u, tol: False\n"
+            "try:\n"
+            "    m.dqc1_classicality_check(np.eye(2))\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(qd.__file__))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "raised"
 
     def test_matches_state_verdict(self):
         cases = []

@@ -68,6 +68,16 @@ class TestRowsFiles:
         assert (dim_a, dim_b) == (2, 2)
         assert all(np.array_equal(a[1], b[1]) for a, b in zip(rows, back))
 
+    @pytest.mark.parametrize(
+        "entry",
+        ['{"a_index": true, "values": [1, 0, 0, 0]}', '{"a_index": 0, "values": [1, "a", 0, 0]}'],
+    )
+    def test_bad_row_entries(self, tmp_path, entry):
+        path = tmp_path / "rows.json"
+        path.write_text('{"dims": [2, 2], "rows": [' + entry + "]}")
+        with pytest.raises(qd.ParseError, match="row 0"):
+            fileio.load_rows(path)
+
     def test_bad_row_length(self, tmp_path):
         path = tmp_path / "rows.json"
         path.write_text('{"dims": [2, 2], "rows": [{"a_index": 0, "values": [1.0]}]}')
@@ -132,6 +142,39 @@ class TestCliAnalyze:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("[NaN, 0.0]", "must be finite, got NaN"), ("[true, 0.0]", "must be a number, got true")],
+    )
+    def test_bad_entry_exits_2_naming_it(self, capsys, tmp_path, entry, message):
+        doc = fileio.state_document(qd.bell_state(0)).replace("[0.5, 0.0]", entry, 1)
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        with pytest.raises(qd.ParseError, match=r"entry \(0, 0\)"):
+            fileio.load_state(path)
+        code, _, err = _run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert "entry (0, 0)" in err and message in err
+
+    def test_internal_fault_exits_1(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("qdiscord.cli.zero_discord_test", broken)
+        path = tmp_path / "bell.json"
+        fileio.save_state(qd.bell_state(0), path)
+        code, out, err = _run(capsys, ["analyze", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "internal error: LinAlgError" in err
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bell.json"
+        fileio.save_state(qd.bell_state(0), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["geometric", str(path), "--oracle", "--seed", "-1"])
+        assert exc.value.code == 2
+
 
 class TestCliWitness:
     def test_bell_rows_prove(self, capsys, tmp_path):
@@ -184,6 +227,14 @@ class TestCliDqc1:
         assert code == 2
         assert "alpha" in err
 
+    def test_internal_inconsistency_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(qd.dqc1, "_hermitian_parts_dependent", lambda u, tol: False)
+        path = tmp_path / "hadamard.json"
+        fileio.save_unitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2), path)
+        code, _, err = _run(capsys, ["dqc1", "--unitary", str(path), "--alpha", "0.5"])
+        assert code == 1
+        assert "internal error: RuntimeError" in err
+
     def test_unitary_and_random_conflict(self, capsys, tmp_path):
         path = tmp_path / "u.json"
         fileio.save_unitary(np.eye(2), path)
@@ -209,6 +260,12 @@ class TestCliCatalog:
         code, _, err = _run(capsys, ["catalog", "bell-diagonal", "2,0,0"])
         assert code == 2
         assert "tetrahedron" in err
+
+    @pytest.mark.parametrize("argv", [["bell", "x"], ["bell", "7"], ["facet", "1,2,1"]])
+    def test_bad_parameters_exit_2(self, capsys, argv):
+        code, _, err = _run(capsys, ["catalog", *argv])
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_unknown_state_exits_2(self, capsys):
         code, _, err = _run(capsys, ["catalog", "werner"])

@@ -39,6 +39,13 @@ class TestDensityMatrix:
         with pytest.raises(qd.DimensionError):
             qd.DensityMatrix(np.eye(4, dtype=complex) / 4, 2, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.25, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[2, 1] = bad
+        with pytest.raises(qd.ValidationError, match=r"entry \(2, 1\) is not finite"):
+            qd.DensityMatrix(mat, 2, 2)
+
     def test_immutable(self, bell):
         with pytest.raises(ValueError):
             bell.mat[0, 0] = 2.0
