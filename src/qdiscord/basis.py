@@ -8,6 +8,7 @@ operators, each group in lexicographic index order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,8 @@ import numpy as np
 from .errors import DimensionError, NonHermitianError, ValidationError
 
 ORTHONORMAL_ATOL = 1e-12
+# Distinct dimensions whose Gell-Mann basis stays cached; a d = 64 basis is 268 MB.
+BASIS_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,9 @@ class HermitianBasis:
         herm = np.linalg.norm(ops - ops.conj().transpose(0, 2, 1), axis=(1, 2))
         if herm.max() > ORTHONORMAL_ATOL:
             raise NonHermitianError(f"basis operator Hermiticity defect {herm.max():.3e}")
-        gram = np.einsum("nij,mji->nm", ops, ops).real
+        # Tr(A_n A_m) = sum_ij A_n[i, j] conj(A_m[i, j]) for Hermitian A_m: one BLAS product.
+        flat = ops.reshape(d * d, d * d)
+        gram = (flat @ flat.conj().T).real
         if np.abs(gram - np.eye(d * d)).max() > ORTHONORMAL_ATOL:
             raise ValidationError("basis is not orthonormal")
         if np.abs(ops[0] - np.eye(d) / np.sqrt(d)).max() > ORTHONORMAL_ATOL:
@@ -44,33 +49,33 @@ class HermitianBasis:
         return self.ops.shape[0]
 
 
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def gell_mann_basis(d: int) -> HermitianBasis:
     """Orthonormal Hermitian basis of the d-dimensional operator space.
 
     For d = 2 this is {1/sqrt(2), sigma_x/sqrt(2), sigma_y/sqrt(2), sigma_z/sqrt(2)}.
+    Cached per dimension: every call with the same d returns the same
+    immutable basis.
     """
     if d < 2:
         raise DimensionError(f"basis needs dimension >= 2, got {d}")
-    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    ops = np.zeros((d * d, d, d), dtype=complex)
+    ops[0] = np.eye(d, dtype=complex) / np.sqrt(d)
+    j, k = np.triu_indices(d, 1)
+    sym = np.arange(1, 1 + j.size)
+    asym = sym + j.size
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = inv_sqrt2
-            m[k, j] = inv_sqrt2
-            ops.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j * inv_sqrt2
-            m[k, j] = 1j * inv_sqrt2
-            ops.append(m)
-    for l in range(1, d):
-        diag = np.zeros(d, dtype=complex)
-        diag[:l] = 1.0
-        diag[l] = -float(l)
-        ops.append(np.diag(diag) / np.sqrt(l * (l + 1)))
-    return HermitianBasis(dim=d, ops=np.stack(ops))
+    ops[sym, j, k] = inv_sqrt2
+    ops[sym, k, j] = inv_sqrt2
+    ops[asym, j, k] = -1j * inv_sqrt2
+    ops[asym, k, j] = 1j * inv_sqrt2
+    # Row l - 1 is diag(1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)) with l ones.
+    l = np.arange(1, d)
+    diag = np.tri(d - 1, d, dtype=complex)
+    diag[l - 1, l] = -l
+    diag /= np.sqrt(l * (l + 1))[:, None]
+    ops[1 + 2 * j.size :, np.arange(d), np.arange(d)] = diag
+    return HermitianBasis(dim=d, ops=ops)
 
 
 def expand(op, basis: HermitianBasis, atol: float = 1e-9) -> np.ndarray:

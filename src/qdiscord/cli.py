@@ -25,8 +25,6 @@ from .dqc1 import (
     MAX_REGISTER_QUBITS,
     Dqc1Instance,
     dqc1_classicality_check,
-    dqc1_exact_readout,
-    dqc1_output_state,
     dqc1_sample_trace,
 )
 from .entropic import (
@@ -121,8 +119,7 @@ def cmd_dqc1(args) -> int:
             raise DimensionError(f"register size must be 1..{MAX_REGISTER_QUBITS}, got {n}")
         u = random_unitary(2**n, args.seed)
     inst = Dqc1Instance(n=n, alpha=args.alpha, unitary=u)
-    state = dqc1_output_state(inst)
-    exact = dqc1_exact_readout(state, inst.alpha)
+    exact = inst.normalized_trace()
     estimate = dqc1_sample_trace(inst, args.samples, args.seed)
     classical = dqc1_classicality_check(u)
     _print_doc(

@@ -33,6 +33,77 @@ class TestGellMannBasis:
         with pytest.raises(qd.DimensionError):
             qd.gell_mann_basis(1)
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_matches_loop_reference_bitwise(self, d):
+        ref = _loop_gell_mann_ops(d)
+        ops = qd.gell_mann_basis(d).ops
+        assert ops.shape == ref.shape
+        assert np.array_equal(ops.view(np.uint64), ref.view(np.uint64))
+
+
+def _loop_gell_mann_ops(d):
+    """Operator-by-operator construction in the documented order."""
+    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = inv_sqrt2
+            m[k, j] = inv_sqrt2
+            ops.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1j * inv_sqrt2
+            m[k, j] = 1j * inv_sqrt2
+            ops.append(m)
+    for l in range(1, d):
+        diag = np.zeros(d, dtype=complex)
+        diag[:l] = 1.0
+        diag[l] = -float(l)
+        ops.append(np.diag(diag) / np.sqrt(l * (l + 1)))
+    return np.stack(ops)
+
+
+class TestBasisCache:
+    def test_same_object_per_dimension(self):
+        assert qd.gell_mann_basis(4) is qd.gell_mann_basis(4)
+        assert qd.gell_mann_basis(4) is not qd.gell_mann_basis(3)
+
+    def test_ops_are_read_only(self):
+        basis = qd.gell_mann_basis(3)
+        with pytest.raises(ValueError):
+            basis.ops[1, 0, 1] = 5.0
+        with pytest.raises(AttributeError):
+            basis.ops = np.zeros_like(basis.ops)
+        assert np.array_equal(basis.ops, _loop_gell_mann_ops(3))
+
+    def test_user_basis_is_copied(self):
+        ops = _loop_gell_mann_ops(2)
+        basis = qd.HermitianBasis(dim=2, ops=ops)
+        ops[1] = 0.0
+        assert np.array_equal(basis.ops, _loop_gell_mann_ops(2))
+
+    def test_user_non_orthonormal_basis_rejected(self):
+        ops = _loop_gell_mann_ops(3)
+        ops[4] = ops[4] * 1.01
+        with pytest.raises(qd.ValidationError, match="orthonormal"):
+            qd.HermitianBasis(dim=3, ops=ops)
+
+    def test_user_non_orthogonal_basis_rejected(self):
+        ops = _loop_gell_mann_ops(2)
+        ops[3] = (ops[1] + ops[3]) / np.sqrt(2)
+        with pytest.raises(qd.ValidationError, match="orthonormal"):
+            qd.HermitianBasis(dim=2, ops=ops)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_blas_gram_matches_einsum(self, d):
+        ops = qd.gell_mann_basis(d).ops
+        flat = ops.reshape(d * d, d * d)
+        blas = (flat @ flat.conj().T).real
+        einsum = np.einsum("nij,mji->nm", ops, ops).real
+        assert np.abs(blas - einsum).max() <= 1e-15
+
 
 class TestExpand:
     def test_maximally_mixed_qubit(self):

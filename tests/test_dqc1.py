@@ -60,6 +60,35 @@ class TestOutputState:
         assert np.abs(rho.mat - expected).max() <= 1e-12
 
 
+    def test_matches_out_of_place_construction_bitwise(self):
+        for n, alpha in ((1, 1.0), (3, 0.37), (5, 0.8)):
+            d = 2**n
+            u = qd.random_unitary(d, n)
+            rho = qd.dqc1_output_state(qd.Dqc1Instance(n=n, alpha=alpha, unitary=u))
+            mat = np.zeros((2 * d, 2 * d), dtype=complex)
+            mat[:d, :d] = np.eye(d)
+            mat[d:, d:] = np.eye(d)
+            mat[d:, :d] = alpha * u
+            mat[:d, d:] = alpha * u.conj().T
+            assert np.array_equal(rho.mat, mat / (2 * d))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_pure_control_states_pass_without_eigendecomposition(self, n, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        inst = qd.Dqc1Instance(n=n, alpha=1.0, unitary=qd.random_unitary(2**n, n))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Cholesky check should have decided")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rho = qd.dqc1_output_state(inst)
+        monkeypatch.undo()
+        w = eigvalsh(rho.mat)
+        # rank 2^n of 2^(n+1): the eigenvalues are 0 and 1/2^n, half each
+        assert np.sum(np.abs(w) <= 1e-12) == 2**n
+        assert np.allclose(w[2**n :], 1.0 / 2**n, atol=1e-12)
+
+
 class TestExactReadout:
     def test_identity(self):
         inst = qd.Dqc1Instance(n=1, alpha=1.0, unitary=np.eye(2))
@@ -110,6 +139,31 @@ class TestSampling:
         exact = np.trace(u) / 16
         est = qd.dqc1_sample_trace(inst, 1_000_000, seed=11)
         assert abs(est.tau_hat - exact) <= 4 * est.std_error
+
+    def test_builds_no_output_state(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no output state should be built")
+
+        monkeypatch.setattr(qd.dqc1, "dqc1_output_state", forbidden)
+        monkeypatch.setattr(qd.dqc1, "DensityMatrix", forbidden)
+        u = qd.random_unitary(16, 7)
+        inst = qd.Dqc1Instance(n=4, alpha=0.5, unitary=u)
+        est = qd.dqc1_sample_trace(inst, 1_000_000, seed=11)
+        assert abs(est.tau_hat - np.trace(u) / 16) <= 4 * est.std_error
+
+    def test_normalized_trace_matches_readout(self):
+        for n in (1, 3, 6):
+            u = qd.random_unitary(2**n, n)
+            inst = qd.Dqc1Instance(n=n, alpha=0.4, unitary=u)
+            readout = qd.dqc1_exact_readout(qd.dqc1_output_state(inst), inst.alpha)
+            assert abs(inst.normalized_trace() - readout) <= 1e-15
+            assert inst.normalized_trace() == complex(np.trace(u)) / 2**n
+
+    def test_ten_qubit_register(self):
+        u = qd.random_unitary(2**10, 4)
+        inst = qd.Dqc1Instance(n=10, alpha=0.6, unitary=u)
+        est = qd.dqc1_sample_trace(inst, 1_000_000, seed=2)
+        assert abs(est.tau_hat - np.trace(u) / 2**10) <= 5 * est.std_error
 
     def test_deterministic_per_seed(self):
         u = qd.random_unitary(4, 3)

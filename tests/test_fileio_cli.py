@@ -222,6 +222,19 @@ class TestCliDqc1:
         assert doc["classicality"]["zero_discord"] is True
         assert doc["exact_tau"] == [0.0, 0.0]
 
+    def test_builds_no_output_state(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no output state should be built")
+
+        monkeypatch.setattr(qd.dqc1, "dqc1_output_state", forbidden)
+        monkeypatch.setattr(qd.dqc1, "DensityMatrix", forbidden)
+        code, out, err = _run(capsys, ["dqc1", "--random-n", "4", "--seed", "3", "--alpha", "0.7"])
+        assert code == 0, err
+        doc = json.loads(out)
+        tau = np.trace(qd.random_unitary(16, 3)) / 16
+        assert abs(complex(*doc["exact_tau"]) - tau) <= 1e-15
+        assert abs(complex(*doc["tau_hat"]) - tau) <= 4 * doc["std_error"]
+
     def test_alpha_zero_is_usage_error(self, capsys):
         code, _, err = _run(capsys, ["dqc1", "--random-n", "2", "--alpha", "0"])
         assert code == 2

@@ -51,6 +51,51 @@ class TestDensityMatrix:
             bell.mat[0, 0] = 2.0
 
 
+def _state_with_min_eigenvalue(wmin, d=4, seed=3):
+    """Unit-trace Hermitian matrix, spectrum (1 - wmin, 0, ..., 0, wmin) in a random basis."""
+    w = np.zeros(d)
+    w[0], w[-1] = 1.0 - wmin, wmin
+    v = qd.random_unitary(d, seed)
+    return (v * w) @ v.conj().T
+
+
+class TestPsdCheck:
+    @pytest.mark.parametrize("factor", [0.0, -0.5, -0.9, -1.1, -2.0, -10.0])
+    def test_same_rule_as_min_eigenvalue(self, factor):
+        mat = _state_with_min_eigenvalue(factor * qd.linalg.PSD_ATOL)
+        if factor >= -1.0:
+            qd.DensityMatrix(mat, 2, 2)
+        else:
+            with pytest.raises(qd.ValidationError, match="positive"):
+                qd.DensityMatrix(mat, 2, 2)
+
+    def test_rejection_names_min_eigenvalue(self):
+        mat = _state_with_min_eigenvalue(-2 * qd.linalg.PSD_ATOL, d=6)
+        with pytest.raises(qd.ValidationError, match=r"min eigenvalue -2\.000e-10"):
+            qd.DensityMatrix(mat, 2, 3)
+
+    @pytest.mark.parametrize("dims", [(2, 1), (4, 4), (8, 8)])
+    def test_pure_states_pass_without_eigendecomposition(self, dims, monkeypatch):
+        d = dims[0] * dims[1]
+        rng = np.random.default_rng(d)
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        mat = np.outer(psi, psi.conj())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Cholesky check should have decided")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert qd.DensityMatrix(mat, *dims).dim == d
+
+    def test_check_leaves_matrices_unshifted(self):
+        mat = _state_with_min_eigenvalue(0.0)
+        before = mat.copy()
+        rho = qd.DensityMatrix(mat, 2, 2)
+        assert np.array_equal(mat, before)
+        assert np.array_equal(rho.mat, before)
+
+
 class TestPartialTrace:
     def test_bell_marginals_maximally_mixed(self, bell):
         assert_allclose(qd.partial_trace(bell, "A"), ID2 / 2, atol=1e-14)
