@@ -18,7 +18,7 @@ from .linalg import ENTROPY_EIG_FLOOR, OUTCOME_FLOOR
 _TRIAL_COEFS = np.array([-1.0, -2.0, -0.5, 0.5])[:, None]
 
 
-def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float):
+def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float, settle: int = 0):
     """Minimize ``fun`` from R initial simplices at once; returns (f, x).
 
     ``sim`` has shape (R, n+1, n) and ``fun`` maps an (m, n) array of points
@@ -28,7 +28,13 @@ def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float):
     contraction, or a shrink towards the best vertex.  A simplex whose values
     span at most ``fatol`` and whose vertices lie within ``xatol`` of its best
     one stops and stays frozen; the others run for at most ``maxiter`` steps.
-    Simplices never interact, so each result equals that start run alone.
+    With ``settle=0`` simplices never interact, so each result equals that
+    start run alone.  With ``settle > 0`` the whole batch stops once at least
+    ``settle`` frozen simplices have best values within ``fatol`` of the
+    lowest frozen value and no simplex, active or frozen, has a lower best
+    vertex; simplices still active then return where they stood.  Active
+    simplices only go down, so this can first hold on a step where one
+    freezes.
     f has shape (R,) and x shape (R, n): the best vertex of each simplex.
     """
     sim = np.array(sim, dtype=float)
@@ -49,6 +55,11 @@ def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float):
             active[flat] = np.abs(near - near[:, :1]).max(axis=(1, 2)) > xatol
             if not active.any():
                 break
+            if settle and not active.all():
+                frozen = f[~active, 0]
+                low = frozen.min()
+                if np.count_nonzero(frozen <= low + fatol) >= settle and low <= f[:, 0].min():
+                    break
         worst = sim[:, n]
         fw = f[:, n]
         cen = weights @ sim

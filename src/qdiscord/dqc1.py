@@ -132,13 +132,17 @@ class Dqc1Classicality:
     phase: float | None
 
 
-def _hermitian_parts_dependent(u: np.ndarray, tol: float) -> bool:
-    """Linear dependence of (U + U†)/2 and (U - U†)/(2i) via their Gram matrix."""
+def _hermitian_parts_gram(u: np.ndarray) -> tuple[float, float, float]:
+    """Tr(a a), Tr(b b) and Tr(a b) for a = (U + U†)/2 and b = (U - U†)/(2i)."""
     a = (u + u.conj().T) / 2.0
     b = (u - u.conj().T) / 2.0j
-    gaa = np.trace(a @ a).real
-    gbb = np.trace(b @ b).real
-    gab = np.trace(a @ b).real
+    # a and b are Hermitian, so Tr(x y) = sum(conj(x) * y): no matrix product
+    return np.vdot(a, a).real, np.vdot(b, b).real, np.vdot(a, b).real
+
+
+def _hermitian_parts_dependent(u: np.ndarray, tol: float) -> bool:
+    """Linear dependence of (U + U†)/2 and (U - U†)/(2i) via their Gram matrix."""
+    gaa, gbb, gab = _hermitian_parts_gram(u)
     det = gaa * gbb - gab * gab
     return det <= tol * max(gaa, gbb, 1e-300) ** 2
 

@@ -210,15 +210,19 @@ def geometric_discord_oracle(
 
     Multi-start Nelder-Mead over the physical parametrization (measurement
     direction, outcome bias, two conditional Bloch vectors); independent of
-    the closed form and used to validate it.
+    the closed form and used to validate it.  The restarts run as one batch,
+    which stops once two of them converge to the same minimum and none is
+    lower, or after ``maxiter`` steps.
     """
     if restarts < 1:
         raise ValidationError(f"the oracle needs at least one restart, got {restarts}")
+    if maxiter < 1:
+        raise ValidationError(f"the oracle needs at least one simplex step, got maxiter={maxiter}")
     b = bloch_triple(rho)
     starts = oracle_starts(restarts, seed)
     sim = starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
     best, _ = _accel.nelder_mead(
-        lambda z: _accel.chi_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8
+        lambda z: _accel.chi_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8, settle=2
     )
     return float(best.min())
 

@@ -103,6 +103,94 @@ def test_simplex_freezes_converged_starts():
     assert x_batch[1, 0] > 1e6
 
 
+def _counted(fun):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return fun(x)
+
+    return counted, calls
+
+
+def _oracle_objective(seed):
+    b = qd.bloch_triple(qd.random_density_matrix(2, 2, seed))
+    return lambda z: _accel.chi_distance_sq(z, b.x, b.y, b.corr)
+
+
+def test_settle_stops_oracle_early_with_same_minimum():
+    sim = _oracle_simplices(32, 0)
+    for seed in range(5):  # criterion 03's first states
+        full, full_calls = _counted(_oracle_objective(seed))
+        settled, settled_calls = _counted(_oracle_objective(seed))
+        f_full, _ = _accel.nelder_mead(full, sim, 1500, 1e-13, 1e-8)
+        f_settled, _ = _accel.nelder_mead(settled, sim, 1500, 1e-13, 1e-8, settle=2)
+        assert len(settled_calls) < len(full_calls)
+        assert abs(f_settled.min() - f_full.min()) <= 1e-15
+
+
+def _three_basins(gap, floor):
+    # bowl A (minimum 0 near the origin), bowl B (minimum `gap` near x0 = 50)
+    # and a Rosenbrock valley (minimum `floor` near x0 = 100) that its
+    # simplex descends far more slowly than the bowls'
+    def fun(x):
+        x0, x1 = x[:, 0], x[:, 1]
+        bowl_a = (x0 - 0.3) ** 2 + (x1 - 0.3) ** 2
+        bowl_b = (x0 - 50.3) ** 2 + (x1 - 0.3) ** 2 + gap
+        u = x0 - 100.0
+        valley = floor + (1.0 - u) ** 2 + 100.0 * (x1 - u * u) ** 2
+        return np.where(x0 < 25.0, bowl_a, np.where(x0 < 75.0, bowl_b, valley))
+
+    starts = np.array([[1.0, -2.0], [51.0, -2.0], [98.8, 1.0]])
+    return fun, starts[:, None, :] + np.vstack([np.zeros(2), 0.5 * np.eye(2)])
+
+
+def _run_both(fun, sim, maxiter=2000):
+    plain, plain_calls = _counted(fun)
+    settled, settled_calls = _counted(fun)
+    f0, x0 = _accel.nelder_mead(plain, sim, maxiter, 1e-13, 1e-10)
+    f2, x2 = _accel.nelder_mead(settled, sim, maxiter, 1e-13, 1e-10, settle=2)
+    return (f0, x0, len(plain_calls)), (f2, x2, len(settled_calls))
+
+
+def test_settle_stops_when_two_frozen_agree_below_the_rest():
+    # control for the two tests below: the bowls agree and the valley is above
+    (f0, _, calls0), (f2, x2, calls2) = _run_both(*_three_basins(gap=0.0, floor=5.0))
+    assert calls2 < calls0
+    assert f2.min() == f0.min()
+    assert f2[2] > 5.0  # the valley's simplex stopped where it stood
+    np.testing.assert_allclose(x2[:2], [[0.3, 0.3], [50.3, 0.3]], atol=1e-9)
+
+
+def test_settle_waits_for_a_simplex_descending_below_the_frozen():
+    (f0, x0, calls0), (f2, x2, calls2) = _run_both(*_three_basins(gap=0.0, floor=-5.0))
+    assert calls2 == calls0
+    assert np.array_equal(f2, f0) and np.array_equal(x2, x0)
+    assert f2.min() < -4.0
+
+
+def test_settle_needs_frozen_values_to_agree_within_fatol():
+    (f0, x0, calls0), (f2, x2, calls2) = _run_both(*_three_basins(gap=1e-9, floor=5.0))
+    assert calls2 == calls0
+    assert np.array_equal(f2, f0) and np.array_equal(x2, x0)
+
+
+def test_settle_with_one_restart_is_the_plain_run():
+    sim = _oracle_simplices(1, 3)
+    (f0, x0, calls0), (f2, x2, calls2) = _run_both(_oracle_objective(7), sim, 1500)
+    assert calls2 == calls0
+    assert np.array_equal(f2, f0) and np.array_equal(x2, x0)
+
+
+def test_settle_survives_flat_steps_before_any_freeze():
+    # a constant objective makes every simplex flat from the first step, long
+    # before shrinking brings any of them within xatol
+    sim = _oracle_simplices(3, 1)
+    (f0, x0, calls0), (f2, x2, calls2) = _run_both(lambda z: np.zeros(len(z)), sim, 300)
+    assert calls2 == calls0
+    assert np.array_equal(x2, x0)
+
+
 def test_entropic_refinement_matches_scipy():
     optimize = pytest.importorskip("scipy.optimize")
     for rho in (

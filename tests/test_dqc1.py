@@ -216,6 +216,17 @@ class TestClassicality:
         with pytest.raises(qd.NotUnitaryError):
             qd.dqc1_classicality_check(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
+    def test_gram_matches_trace_products(self, d):
+        rng = np.random.default_rng(d)
+        # a non-normal matrix at a unitary's scale: Frobenius norm about sqrt(d)
+        generic = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2 * d)
+        for u in (qd.random_unitary(d, d), np.exp(0.7j) * np.eye(d), generic):
+            a = (u + u.conj().T) / 2.0
+            b = (u - u.conj().T) / 2.0j
+            expected = [np.trace(x @ y).real for x, y in ((a, a), (b, b), (a, b))]
+            assert_allclose(qd.dqc1._hermitian_parts_gram(u), expected, rtol=0, atol=1e-12)
+
     def test_inconsistent_parts_raise_internal_error(self, monkeypatch):
         monkeypatch.setattr(qd.dqc1, "_hermitian_parts_dependent", lambda u, tol: False)
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)

@@ -226,3 +226,11 @@ class TestOracle:
         for seed in range(1000):
             chi = qd.random_zero_discord_state(seed)
             assert qd.hs_distance_sq(rho, chi) >= value - 1e-10
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"maxiter": 0}, {"maxiter": -5}])
+    def test_rejects_empty_search(self, bell, kwargs):
+        with pytest.raises(qd.ValidationError):
+            qd.geometric_discord_oracle(bell, **kwargs)
+
+    def test_one_step_is_allowed(self, bell):
+        assert 0.0 <= qd.geometric_discord_oracle(bell, restarts=2, maxiter=1) <= 1.0
