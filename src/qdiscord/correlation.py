@@ -8,13 +8,14 @@ S_n pairwise commute; rank(R) > d_A alone already proves non-zero discord.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import HermitianBasis, gell_mann_basis
 from .errors import DimensionError, ValidationError
-from .linalg import DensityMatrix, commutator_norm, svd_real
+from .linalg import DensityMatrix, commutator_norm
 
 RANK_ATOL = 1e-10
 RANK_RTOL = 1e-9
@@ -25,19 +26,31 @@ COMMUTATOR_TOL = 1e-9
 class CorrelationMatrix:
     """Expansion coefficients r_nm with their SVD factors.
 
-    r = svd_u @ diag(singulars) @ svd_w.T; rank_tolerance is the resolved
-    singular-value cutoff used for the numerical rank.
+    r = svd_u @ diag(singulars) @ svd_v.T with svd_u square orthogonal and
+    svd_v the leading min(d_A², d_B²) right singular vectors; svd_w is svd_v
+    completed to a square orthogonal matrix, built on first access.
+    rank_tolerance is the resolved singular-value cutoff used for the
+    numerical rank.
     """
 
     r: np.ndarray
     basis_a: HermitianBasis
     basis_b: HermitianBasis
     svd_u: np.ndarray
-    svd_w: np.ndarray
+    svd_v: np.ndarray
     singulars: np.ndarray
     rank_tolerance: float
     dim_a: int
     dim_b: int
+
+    @functools.cached_property
+    def svd_w(self) -> np.ndarray:
+        v = self.svd_v
+        if v.shape[1] == v.shape[0]:
+            return v
+        # The trailing columns of a complete QR of v span its orthogonal complement.
+        q, _ = np.linalg.qr(v, mode="complete")
+        return np.concatenate([v, q[:, v.shape[1] :]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -81,15 +94,18 @@ def correlation_matrix(
     t = rho.blocks()
     # r_nm = sum_{a b a' b'} rho[a,b,a',b'] A_n[a',a] B_m[b',b]
     half = np.einsum("abcd,nca->nbd", t, basis_a.ops)
-    r = np.einsum("nbd,mdb->nm", half, basis_b.ops).real
-    u, c, w = svd_real(r)
+    # The sum over (b', b) is one BLAS product of the flattened half[n, b', b] and B_m[b', b].
+    n_a, n_b = len(basis_a), len(basis_b)
+    r = (half.transpose(0, 2, 1).reshape(n_a, -1) @ basis_b.ops.reshape(n_b, -1).T).real
+    # A wide r (d_A <= d_B) has a square U in the thin SVD; its d_B² x d_B² W waits for svd_w.
+    u, c, vh = np.linalg.svd(r, full_matrices=n_a > n_b)
     tau = max(atol, rtol * (c[0] if c.size else 0.0))
     return CorrelationMatrix(
         r=r,
         basis_a=basis_a,
         basis_b=basis_b,
         svd_u=u,
-        svd_w=w,
+        svd_v=vh.T,
         singulars=c,
         rank_tolerance=tau,
         dim_a=rho.dim_a,
@@ -105,12 +121,17 @@ def numerical_rank(cm: CorrelationMatrix) -> int:
 def local_operators(cm: CorrelationMatrix) -> list[LocalOperatorPair]:
     """Retained terms (c_n, S_n, F_n); S_n mixes basis A with column n of U."""
     rank = numerical_rank(cm)
-    pairs = []
-    for n in range(rank):
-        op_a = np.einsum("k,kij->ij", cm.svd_u[:, n], cm.basis_a.ops)
-        op_b = np.einsum("k,kij->ij", cm.svd_w[:, n], cm.basis_b.ops)
-        pairs.append(LocalOperatorPair(weight=float(cm.singulars[n]), op_a=op_a, op_b=op_b))
-    return pairs
+    ops_a = _rotated_operators(cm.svd_u[:, :rank], cm.basis_a)
+    ops_b = _rotated_operators(cm.svd_v[:, :rank], cm.basis_b)
+    return [
+        LocalOperatorPair(weight=float(cm.singulars[n]), op_a=ops_a[n], op_b=ops_b[n])
+        for n in range(rank)
+    ]
+
+
+def _rotated_operators(columns: np.ndarray, basis: HermitianBasis) -> np.ndarray:
+    """sum_k columns[k, n] basis.ops[k] for every column n, as one BLAS product."""
+    return np.tensordot(columns.T, basis.ops, axes=1)
 
 
 def reconstruct_state(cm: CorrelationMatrix) -> DensityMatrix:
@@ -157,7 +178,7 @@ def zero_discord_test(
     rank = numerical_rank(cm)
     witness = rank > rho.dim_a
 
-    ops = [p.op_a for p in local_operators(cm)]
+    ops = list(_rotated_operators(cm.svd_u[:, :rank], cm.basis_a))
     norms = [max(np.linalg.norm(op), 1e-300) for op in ops]
     max_comm = 0.0
     for i in range(len(ops)):

@@ -60,6 +60,38 @@ class TestCorrelationMatrix:
         with pytest.raises(qd.DimensionError):
             qd.correlation_matrix(rho, basis_a=qd.gell_mann_basis(3))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 8), (2, 16)])
+    def test_entries_match_elementwise_sum(self, dims):
+        rho = qd.random_density_matrix(*dims, 40 + sum(dims))
+        cm = qd.correlation_matrix(rho)
+        ops_a, ops_b = cm.basis_a.ops, cm.basis_b.ops
+        # r_nm = Tr[rho (A_n x B_m)], one Kronecker product at a time
+        expected = np.array(
+            [[np.trace(rho.mat @ np.kron(a, b)).real for b in ops_b] for a in ops_a]
+        )
+        assert np.abs(cm.r - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 16)])
+    def test_svd_w_completes_svd_v(self, dims):
+        rho = qd.random_density_matrix(*dims, 5)
+        cm = qd.correlation_matrix(rho)
+        n_a, n_b = dims[0] ** 2, dims[1] ** 2
+        k = min(n_a, n_b)
+        assert cm.svd_u.shape == (n_a, n_a)
+        assert cm.svd_v.shape == (n_b, k)
+        assert cm.svd_w.shape == (n_b, n_b)
+        assert np.array_equal(cm.svd_w[:, :k], cm.svd_v)
+        assert np.abs(cm.svd_w.T @ cm.svd_w - np.eye(n_b)).max() <= 1e-12
+        assert np.abs(cm.svd_u.T @ cm.svd_u - np.eye(n_a)).max() <= 1e-12
+        assert np.abs(cm.svd_u[:, :k] * cm.singulars @ cm.svd_v.T - cm.r).max() <= 1e-14
+        assert cm.svd_w is cm.svd_w
+
+    def test_singulars_match_full_svd(self):
+        for seed in range(10):
+            cm = qd.correlation_matrix(qd.random_density_matrix(2, 8, seed))
+            _, c, _ = qd.svd_real(cm.r)
+            assert np.abs(cm.singulars - c).max() <= 1e-15
+
 
 class TestReconstructState:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
@@ -91,6 +123,16 @@ class TestLocalOperators:
         rho = qd.bell_diagonal_state([0.6, 0.0, 0.0])
         pairs = qd.local_operators(qd.correlation_matrix(rho))
         assert len(pairs) == 2
+
+    def test_operators_match_per_term_sums(self):
+        cm = qd.correlation_matrix(qd.random_density_matrix(2, 4, 9))
+        pairs = qd.local_operators(cm)
+        assert len(pairs) == qd.numerical_rank(cm)
+        for n, p in enumerate(pairs):
+            op_a = np.einsum("k,kij->ij", cm.svd_u[:, n], cm.basis_a.ops)
+            op_b = np.einsum("k,kij->ij", cm.svd_w[:, n], cm.basis_b.ops)
+            assert np.abs(p.op_a - op_a).max() <= 1e-14
+            assert np.abs(p.op_b - op_b).max() <= 1e-14
 
     def test_terms_rebuild_state(self):
         for seed in (1, 2, 3):
