@@ -69,7 +69,6 @@ from .linalg import (
     eig_hermitian,
     hs_inner,
     partial_trace,
-    svd_real,
     swap_subsystems,
     tensor,
     von_neumann_entropy,

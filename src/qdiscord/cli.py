@@ -49,9 +49,9 @@ def _print_doc(doc: dict) -> None:
     sys.stdout.write(fileio.dumps_report(doc))
 
 
-def _entropic_section(rho, grid_points: int, refine_iters: int) -> dict:
+def _entropic_section(rho, info: float, grid_points: int, refine_iters: int) -> dict:
+    """Entropic discord report of rho, whose mutual information is info."""
     qa = classical_correlation_qa(rho, grid_points=grid_points, refine_iters=refine_iters)
-    info = mutual_information(rho)
     return {
         "value": max(0.0, info - qa.value),
         "classical_correlation": qa.value,
@@ -68,25 +68,25 @@ def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     verdict = zero_discord_test(rho, tol=args.comm_tol, rank_rtol=args.rank_tol)
     timings["zero_discord_s"] = time.perf_counter() - t0
-    report = fileio.DiscordReport(
-        dim_a=rho.dim_a,
-        dim_b=rho.dim_b,
-        is_zero_discord=verdict.is_zero_discord,
-        rank_l=verdict.rank_l,
-        witness_triggered=verdict.witness_triggered,
-        max_commutator=verdict.max_commutator,
-        mutual_information=mutual_information(rho),
-        timings=timings,
-    )
+    info = mutual_information(rho)
+    doc = {
+        "dims": [rho.dim_a, rho.dim_b],
+        "is_zero_discord": verdict.is_zero_discord,
+        "rank_L": verdict.rank_l,
+        "witness_triggered": verdict.witness_triggered,
+        "max_commutator": verdict.max_commutator,
+        "mutual_information": info,
+        "timings": timings,
+    }
     if (rho.dim_a, rho.dim_b) == (2, 2):
         t0 = time.perf_counter()
-        report.geometric_discord = geometric_discord_2q(rho).value
+        doc["geometric_discord"] = geometric_discord_2q(rho).value
         timings["geometric_s"] = time.perf_counter() - t0
     if rho.dim_a == 2:
         t0 = time.perf_counter()
-        report.entropic_discord = _entropic_section(rho, args.ent_grid, args.ent_refine)
+        doc["entropic_discord"] = _entropic_section(rho, info, args.ent_grid, args.ent_refine)
         timings["entropic_s"] = time.perf_counter() - t0
-    _print_doc(report.to_dict())
+    _print_doc(doc)
     return 0
 
 
@@ -197,8 +197,9 @@ def cmd_geometric(args) -> int:
 
 def cmd_entropic(args) -> int:
     rho = fileio.load_state(args.state)
-    doc = _entropic_section(rho, args.grid, args.refine_iters)
-    doc["mutual_information"] = mutual_information(rho)
+    info = mutual_information(rho)
+    doc = _entropic_section(rho, info, args.grid, args.refine_iters)
+    doc["mutual_information"] = info
     _print_doc(doc)
     return 0
 

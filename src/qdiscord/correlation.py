@@ -8,7 +8,6 @@ S_n pairwise commute; rank(R) > d_A alone already proves non-zero discord.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +23,10 @@ COMMUTATOR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Expansion coefficients r_nm with their SVD factors.
+    """Expansion coefficients r_nm with their thin SVD.
 
-    r = svd_u @ diag(singulars) @ svd_v.T with svd_u square orthogonal and
-    svd_v the leading min(d_A², d_B²) right singular vectors; svd_w is svd_v
-    completed to a square orthogonal matrix, built on first access.
+    r = svd_u @ diag(singulars) @ svd_v.T, where svd_u is d_A² x k and svd_v
+    is d_B² x k with orthonormal columns, k = min(d_A², d_B²).
     rank_tolerance is the resolved singular-value cutoff used for the
     numerical rank.
     """
@@ -42,15 +40,6 @@ class CorrelationMatrix:
     rank_tolerance: float
     dim_a: int
     dim_b: int
-
-    @functools.cached_property
-    def svd_w(self) -> np.ndarray:
-        v = self.svd_v
-        if v.shape[1] == v.shape[0]:
-            return v
-        # The trailing columns of a complete QR of v span its orthogonal complement.
-        q, _ = np.linalg.qr(v, mode="complete")
-        return np.concatenate([v, q[:, v.shape[1] :]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -76,6 +65,31 @@ class PartialRowsVerdict:
     independent_count: int
 
 
+def _half_contract(rho: DensityMatrix, ops_a: np.ndarray) -> np.ndarray:
+    """Tr_A[(A_n x 1) rho] for every n, as [n, b, b'] = sum_{a a'} A_n[a', a] rho[a, b, a', b']."""
+    return np.einsum("abcd,nca->nbd", rho.blocks(), ops_a)
+
+
+def _expand(rho: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
+    """Real coefficients r_nm = Tr[rho (A_n x B_m)] over two stacks of Hermitian operators."""
+    half = _half_contract(rho, ops_a)
+    # The sum over (b', b) is one BLAS product of the flattened half[n, b', b] and B_m[b', b].
+    n_a, n_b = len(ops_a), len(ops_b)
+    return (half.transpose(0, 2, 1).reshape(n_a, -1) @ ops_b.reshape(n_b, -1).T).real
+
+
+def _rebuild(r: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
+    """The matrix sum_nm r_nm A_n x B_m; for orthonormal stacks the inverse of _expand."""
+    t = np.einsum("nm,nac,mbd->abcd", r, ops_a, ops_b)
+    d = ops_a.shape[1] * ops_b.shape[1]
+    return t.reshape(d, d)
+
+
+def _rank_cutoff(c: np.ndarray, atol: float, rtol: float) -> float:
+    """Singular-value cutoff max(atol, rtol * c_max) for descending, possibly empty, c."""
+    return max(atol, rtol * (c[0] if c.size else 0.0))
+
+
 def correlation_matrix(
     rho: DensityMatrix,
     basis_a: HermitianBasis | None = None,
@@ -91,15 +105,8 @@ def correlation_matrix(
             f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match state dims "
             f"({rho.dim_a}, {rho.dim_b})"
         )
-    t = rho.blocks()
-    # r_nm = sum_{a b a' b'} rho[a,b,a',b'] A_n[a',a] B_m[b',b]
-    half = np.einsum("abcd,nca->nbd", t, basis_a.ops)
-    # The sum over (b', b) is one BLAS product of the flattened half[n, b', b] and B_m[b', b].
-    n_a, n_b = len(basis_a), len(basis_b)
-    r = (half.transpose(0, 2, 1).reshape(n_a, -1) @ basis_b.ops.reshape(n_b, -1).T).real
-    # A wide r (d_A <= d_B) has a square U in the thin SVD; its d_B² x d_B² W waits for svd_w.
-    u, c, vh = np.linalg.svd(r, full_matrices=n_a > n_b)
-    tau = max(atol, rtol * (c[0] if c.size else 0.0))
+    r = _expand(rho, basis_a.ops, basis_b.ops)
+    u, c, vh = np.linalg.svd(r, full_matrices=False)
     return CorrelationMatrix(
         r=r,
         basis_a=basis_a,
@@ -107,7 +114,7 @@ def correlation_matrix(
         svd_u=u,
         svd_v=vh.T,
         singulars=c,
-        rank_tolerance=tau,
+        rank_tolerance=_rank_cutoff(c, atol, rtol),
         dim_a=rho.dim_a,
         dim_b=rho.dim_b,
     )
@@ -136,9 +143,8 @@ def _rotated_operators(columns: np.ndarray, basis: HermitianBasis) -> np.ndarray
 
 def reconstruct_state(cm: CorrelationMatrix) -> DensityMatrix:
     """Rebuild the state sum_nm r_nm A_n x B_m from its correlation matrix."""
-    t = np.einsum("nm,nac,mbd->abcd", cm.r, cm.basis_a.ops, cm.basis_b.ops)
-    d = cm.dim_a * cm.dim_b
-    return DensityMatrix(t.reshape(d, d), cm.dim_a, cm.dim_b)
+    mat = _rebuild(cm.r, cm.basis_a.ops, cm.basis_b.ops)
+    return DensityMatrix(mat, cm.dim_a, cm.dim_b)
 
 
 def _common_eigenbasis_exists(ops: list[np.ndarray], tol: float) -> bool:
@@ -233,8 +239,7 @@ def partial_rows_witness(
     """
     _, stacked = _coerce_rows(rows)
     c = np.linalg.svd(stacked, compute_uv=False)
-    tau = max(atol, rtol * (c[0] if c.size else 0.0))
-    count = int(np.sum(c > tau))
+    count = int(np.sum(c > _rank_cutoff(c, atol, rtol)))
     return PartialRowsVerdict(discord_proven=count >= dim_a + 1, independent_count=count)
 
 
@@ -249,8 +254,7 @@ def certifying_rows(rows, dim_a: int, atol: float = RANK_ATOL, rtol: float = RAN
     for pos in range(len(indices)):
         candidate = np.vstack([kept, stacked[pos]])
         c = np.linalg.svd(candidate, compute_uv=False)
-        tau = max(atol, rtol * c[0])
-        if int(np.sum(c > tau)) == candidate.shape[0]:
+        if int(np.sum(c > _rank_cutoff(c, atol, rtol))) == candidate.shape[0]:
             kept = candidate
             picked.append(int(indices[pos]))
             if len(picked) >= dim_a + 1:

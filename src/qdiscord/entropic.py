@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import conditional_entropy_scan, nelder_mead
+from .correlation import _half_contract
 from .errors import DimensionError, ValidationError
-from .linalg import OUTCOME_FLOOR, DensityMatrix, partial_trace, von_neumann_entropy
+from .linalg import _PAULI_STACK, OUTCOME_FLOOR, DensityMatrix, partial_trace, von_neumann_entropy
 
 GRID_POINTS = 2048
 REFINE_ITERS = 200
@@ -109,17 +110,12 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 
 def _pauli_blocks(rho: DensityMatrix):
-    """B-side blocks combined along Pauli components of the measured qubit.
+    """B-side blocks g0, gx, gy, gz = Tr_A[(s x 1) rho] for s = 1, sigma_x, sigma_y, sigma_z.
 
     For a direction e the unnormalized post-measurement blocks of B are
     (g0 +- (e1 gx + e2 gy + e3 gz))/2.
     """
-    t = rho.blocks()
-    r00 = np.ascontiguousarray(t[0, :, 0, :])
-    r01 = np.ascontiguousarray(t[0, :, 1, :])
-    r10 = np.ascontiguousarray(t[1, :, 0, :])
-    r11 = np.ascontiguousarray(t[1, :, 1, :])
-    return r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11
+    return _half_contract(rho, _PAULI_STACK)
 
 
 def _angles_to_dir(angles: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""On-disk formats: states, correlation rows, unitaries, and the analyze report.
+"""On-disk formats: states, correlation rows, unitaries, and JSON reports.
 
 Everything is JSON with complex entries stored as [re, im] pairs, one matrix
 row per line.  Floats serialize through repr (shortest round-trip form, up to
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -186,38 +185,6 @@ def save_rows(dim_a: int, dim_b: int, rows, path) -> None:
 
 def load_rows(path):
     return parse_rows_document(_read_text(path))
-
-
-@dataclass
-class DiscordReport:
-    """Composite analyze output; optional sections appear when dims permit."""
-
-    dim_a: int
-    dim_b: int
-    is_zero_discord: bool
-    rank_l: int
-    witness_triggered: bool
-    max_commutator: float
-    mutual_information: float
-    geometric_discord: float | None = None
-    entropic_discord: dict | None = None
-    timings: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "dims": [self.dim_a, self.dim_b],
-            "is_zero_discord": self.is_zero_discord,
-            "rank_L": self.rank_l,
-            "witness_triggered": self.witness_triggered,
-            "max_commutator": self.max_commutator,
-            "mutual_information": self.mutual_information,
-            "timings": self.timings,
-        }
-        if self.geometric_discord is not None:
-            doc["geometric_discord"] = self.geometric_discord
-        if self.entropic_discord is not None:
-            doc["entropic_discord"] = self.entropic_discord
-        return doc
 
 
 def dumps_report(doc: dict) -> str:

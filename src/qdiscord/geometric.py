@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
+from .correlation import _expand, _rebuild
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
-from .linalg import ID2, PAULIS, DensityMatrix, _as_matrix
+from .linalg import _PAULI_STACK, DensityMatrix, _as_matrix
 
 GEOM_PSD_SLACK = 1e-8
 
@@ -24,12 +25,6 @@ GEOM_PSD_SLACK = 1e-8
 _TETRA_VERTICES = np.array(
     [[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float
 )
-
-_KRON_A = np.stack([np.kron(s, ID2) for s in PAULIS])
-_KRON_B = np.stack([np.kron(ID2, s) for s in PAULIS])
-_KRON_T = np.stack(
-    [np.kron(si, sj) for si in PAULIS for sj in PAULIS]
-).reshape(3, 3, 4, 4)
 
 
 def tetrahedron_contains(t, atol: float = 1e-12) -> bool:
@@ -57,25 +52,18 @@ def bloch_triple(rho: DensityMatrix) -> BlochTriple:
     """Bloch representation (x, y, T) of a two-qubit state."""
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise DimensionError(f"need a 2x2 bipartite state, got dims ({rho.dim_a}, {rho.dim_b})")
-    mat = rho.mat
-    x = np.einsum("ij,nji->n", mat, _KRON_A).real
-    y = np.einsum("ij,nji->n", mat, _KRON_B).real
-    corr = np.einsum("ij,nmji->nm", mat, _KRON_T).real
-    return BlochTriple(x=x, y=y, corr=corr)
+    r = _expand(rho, _PAULI_STACK, _PAULI_STACK)
+    return BlochTriple(x=r[1:, 0], y=r[0, 1:], corr=r[1:, 1:])
 
 
 def state_from_bloch(x, y, corr) -> np.ndarray:
     """Two-qubit matrix (1x1 + x.sigma x 1 + 1 x y.sigma + sum T_ij sigma_i x sigma_j)/4."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    corr = np.asarray(corr, dtype=float)
-    mat = (
-        np.eye(4, dtype=complex)
-        + np.einsum("n,nij->ij", x, _KRON_A)
-        + np.einsum("n,nij->ij", y, _KRON_B)
-        + np.einsum("nm,nmij->ij", corr, _KRON_T)
-    )
-    return mat / 4.0
+    coeffs = np.empty((4, 4))
+    coeffs[0, 0] = 1.0
+    coeffs[1:, 0] = x
+    coeffs[0, 1:] = y
+    coeffs[1:, 1:] = corr
+    return _rebuild(coeffs, _PAULI_STACK, _PAULI_STACK) / 4.0
 
 
 def hs_distance_sq(rho, chi) -> float:

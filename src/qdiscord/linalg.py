@@ -1,7 +1,7 @@
 """Dense complex-matrix substrate for bipartite states.
 
-Tensor products, partial traces, Hermitian eigendecompositions, real SVD,
-von Neumann entropy (base 2) and commutator norms.  All functions are pure;
+Tensor products, partial traces, Hermitian eigendecompositions, von Neumann
+entropy (base 2) and commutator norms.  All functions are pure;
 :class:`DensityMatrix` values are immutable after construction.
 """
 
@@ -28,6 +28,8 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# (1, sigma_x, sigma_y, sigma_z): the local operator stack of the two-qubit Bloch expansion.
+_PAULI_STACK = np.stack((ID2,) + PAULIS)
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -140,16 +142,6 @@ def eig_hermitian(h, atol: float = 1e-9) -> Spectrum:
         raise NonHermitianError(f"Hermiticity defect {defect:.3e} exceeds {atol:.1e}")
     w, v = np.linalg.eigh(mat)
     return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-
-
-def svd_real(r: np.ndarray):
-    """SVD of a real matrix: returns (U, c, W) with r = U @ diag(c) @ W.T.
-
-    U and W are square orthogonal; singular values are descending.
-    """
-    r = np.asarray(r, dtype=float)
-    u, c, vh = np.linalg.svd(r, full_matrices=True)
-    return u, c, vh.T
 
 
 def von_neumann_entropy(rho) -> float:

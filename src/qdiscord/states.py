@@ -8,8 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
-from .geometric import tetrahedron_contains
-from .linalg import ID2, PAULIS, DensityMatrix, tensor
+from .geometric import state_from_bloch, tetrahedron_contains
+from .linalg import DensityMatrix, tensor
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -38,10 +38,7 @@ def bell_diagonal_state(t) -> DensityMatrix:
         raise DimensionError("t must be a real 3-vector")
     if not tetrahedron_contains(t):
         raise OutsidePhysicalError(f"t={t.tolist()} lies outside the physical tetrahedron")
-    mat = tensor(ID2, ID2).astype(complex)
-    for ti, sigma in zip(t, PAULIS):
-        mat += ti * tensor(sigma, sigma)
-    return DensityMatrix(mat / 4.0, 2, 2)
+    return DensityMatrix(state_from_bloch(np.zeros(3), np.zeros(3), np.diag(t)), 2, 2)
 
 
 def bell_state(index: int) -> DensityMatrix:

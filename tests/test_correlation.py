@@ -49,9 +49,7 @@ class TestCorrelationMatrix:
     def test_svd_factors_reconstruct_r(self):
         rho = qd.random_density_matrix(2, 3, 17)
         cm = qd.correlation_matrix(rho)
-        full = np.zeros((4, 9))
-        full[:4, :4] = np.diag(cm.singulars)
-        assert np.linalg.norm(cm.svd_u @ full @ cm.svd_w.T - cm.r) <= 1e-10 * max(
+        assert np.linalg.norm(cm.svd_u * cm.singulars @ cm.svd_v.T - cm.r) <= 1e-10 * max(
             1.0, np.linalg.norm(cm.r)
         )
 
@@ -72,24 +70,23 @@ class TestCorrelationMatrix:
         assert np.abs(cm.r - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 16)])
-    def test_svd_w_completes_svd_v(self, dims):
+    def test_thin_svd_factors(self, dims):
         rho = qd.random_density_matrix(*dims, 5)
         cm = qd.correlation_matrix(rho)
         n_a, n_b = dims[0] ** 2, dims[1] ** 2
         k = min(n_a, n_b)
-        assert cm.svd_u.shape == (n_a, n_a)
+        assert cm.svd_u.shape == (n_a, k)
         assert cm.svd_v.shape == (n_b, k)
-        assert cm.svd_w.shape == (n_b, n_b)
-        assert np.array_equal(cm.svd_w[:, :k], cm.svd_v)
-        assert np.abs(cm.svd_w.T @ cm.svd_w - np.eye(n_b)).max() <= 1e-12
-        assert np.abs(cm.svd_u.T @ cm.svd_u - np.eye(n_a)).max() <= 1e-12
-        assert np.abs(cm.svd_u[:, :k] * cm.singulars @ cm.svd_v.T - cm.r).max() <= 1e-14
-        assert cm.svd_w is cm.svd_w
+        assert cm.singulars.shape == (k,)
+        assert np.abs(cm.svd_u.T @ cm.svd_u - np.eye(k)).max() <= 1e-12
+        assert np.abs(cm.svd_v.T @ cm.svd_v - np.eye(k)).max() <= 1e-12
+        assert np.abs(cm.svd_u * cm.singulars @ cm.svd_v.T - cm.r).max() <= 1e-14
+        assert not hasattr(cm, "svd_w")
 
     def test_singulars_match_full_svd(self):
         for seed in range(10):
             cm = qd.correlation_matrix(qd.random_density_matrix(2, 8, seed))
-            _, c, _ = qd.svd_real(cm.r)
+            c = np.linalg.svd(cm.r, compute_uv=False)
             assert np.abs(cm.singulars - c).max() <= 1e-15
 
 
@@ -130,7 +127,7 @@ class TestLocalOperators:
         assert len(pairs) == qd.numerical_rank(cm)
         for n, p in enumerate(pairs):
             op_a = np.einsum("k,kij->ij", cm.svd_u[:, n], cm.basis_a.ops)
-            op_b = np.einsum("k,kij->ij", cm.svd_w[:, n], cm.basis_b.ops)
+            op_b = np.einsum("k,kij->ij", cm.svd_v[:, n], cm.basis_b.ops)
             assert np.abs(p.op_a - op_a).max() <= 1e-14
             assert np.abs(p.op_b - op_b).max() <= 1e-14
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
+from qdiscord.entropic import _pauli_blocks
 from qdiscord.linalg import ID2
 
 
@@ -96,6 +97,20 @@ class TestMutualInformation:
             rho = qd.random_density_matrix(2, 3, seed)
             info = qd.mutual_information(rho)
             assert -1e-10 <= info <= 2 * min(1.0, np.log2(3)) + 1e-10
+
+
+class TestPauliBlocks:
+    @pytest.mark.parametrize("dim_b", [2, 3, 4])
+    def test_equal_sliced_block_sums(self, dim_b):
+        for seed in range(20):
+            rho = qd.random_density_matrix(2, dim_b, 50 + seed)
+            t = rho.blocks()
+            r00, r01, r10, r11 = t[0, :, 0, :], t[0, :, 1, :], t[1, :, 0, :], t[1, :, 1, :]
+            expected = (r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11)
+            blocks = _pauli_blocks(rho)
+            assert len(blocks) == 4
+            for got, want in zip(blocks, expected):
+                assert np.array_equal(got, want)
 
 
 class TestClassicalCorrelation:

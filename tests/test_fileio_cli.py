@@ -168,6 +168,26 @@ class TestCliAnalyze:
         assert out == ""
         assert "internal error: LinAlgError" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--ent-grid", "64", "--ent-refine", "10"], ["entropic", "--grid", "64"]],
+    )
+    def test_mutual_information_computed_once(self, capsys, tmp_path, monkeypatch, argv):
+        rho = qd.random_density_matrix(2, 2, 8)
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return qd.mutual_information(state)
+
+        monkeypatch.setattr("qdiscord.cli.mutual_information", counting)
+        path = tmp_path / "s22.json"
+        fileio.save_state(rho, path)
+        code, out, _ = _run(capsys, [argv[0], str(path), *argv[1:]])
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["mutual_information"] == qd.mutual_information(rho)
+
     def test_negative_seed_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bell.json"
         fileio.save_state(qd.bell_state(0), path)

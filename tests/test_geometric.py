@@ -74,6 +74,19 @@ class TestBlochTriple:
         with pytest.raises(qd.DimensionError):
             qd.bloch_triple(qd.random_density_matrix(2, 3, 0))
 
+    def test_matches_pauli_traces(self):
+        paulis = (np.eye(2),) + qd.linalg.PAULIS
+        for seed in range(50):
+            rho = qd.random_density_matrix(2, 2, 300 + seed)
+            # ref[i, j] = Tr[rho (s_i x s_j)] with s_0 = 1, one Kronecker product at a time
+            ref = np.array(
+                [[np.trace(rho.mat @ np.kron(si, sj)).real for sj in paulis] for si in paulis]
+            )
+            b = qd.bloch_triple(rho)
+            assert np.abs(b.x - ref[1:, 0]).max() <= 1e-15
+            assert np.abs(b.y - ref[0, 1:]).max() <= 1e-15
+            assert np.abs(b.corr - ref[1:, 1:]).max() <= 1e-15
+
 
 class TestHsDistance:
     def test_zero_on_equal(self, bell):

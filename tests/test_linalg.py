@@ -167,39 +167,6 @@ class TestEigHermitian:
             assert np.linalg.norm(gram - np.eye(6)) <= 1e-9
 
 
-class TestSvdReal:
-    def test_diagonal(self):
-        u, c, w = qd.svd_real(np.diag([3.0, 1.0]))
-        assert_allclose(c, [3, 1])
-        assert_allclose(u, np.eye(2))
-        assert_allclose(w, np.eye(2))
-
-    def test_zero_matrix(self):
-        _, c, _ = qd.svd_real(np.zeros((3, 2)))
-        assert_allclose(c, 0)
-
-    def test_permuted_diagonal(self):
-        u, c, w = qd.svd_real(np.array([[0.0, 2.0], [1.0, 0.0]]))
-        assert_allclose(c, [2, 1])
-        assert_allclose(u @ np.diag(c) @ w.T, [[0, 2], [1, 0]], atol=1e-14)
-
-    def test_reconstruction_1000_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            rows = int(rng.integers(1, 17))
-            cols = int(rng.integers(1, 17))
-            r = rng.standard_normal((rows, cols))
-            u, c, w = qd.svd_real(r)
-            full = np.zeros((rows, cols))
-            k = min(rows, cols)
-            full[:k, :k] = np.diag(c)
-            resid = np.linalg.norm(u @ full @ w.T - r)
-            assert resid <= 1e-10 * max(1.0, np.linalg.norm(r))
-            assert np.all(np.diff(c) <= 1e-15)
-            assert np.linalg.norm(u @ u.T - np.eye(rows)) <= 1e-12
-            assert np.linalg.norm(w @ w.T - np.eye(cols)) <= 1e-12
-
-
 class TestEntropy:
     def test_maximally_mixed(self):
         rho = qd.DensityMatrix(np.eye(4, dtype=complex) / 4, 2, 2)

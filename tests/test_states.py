@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
-from qdiscord.linalg import ID2
+from qdiscord.linalg import ID2, PAULIS
 
 
 def _pure(ket):
@@ -35,6 +35,17 @@ class TestBellDiagonal:
             assert_allclose(np.diag(b.corr), t, atol=1e-12)
             assert_allclose(b.x, 0, atol=1e-12)
             assert_allclose(b.y, 0, atol=1e-12)
+
+    def test_equals_pauli_sum(self):
+        rng = np.random.default_rng(4)
+        points = [rng.uniform(-1, 1, 3) for _ in range(200)]
+        points = [t for t in points if qd.tetrahedron_contains(t)]
+        points += [np.array(v, dtype=float) for v in [(1, -1, 1), (-1, -1, -1), (0.5, 0.5, 0.0)]]
+        for t in points:
+            mat = np.kron(ID2, ID2)
+            for ti, sigma in zip(t, PAULIS):
+                mat = mat + ti * np.kron(sigma, sigma)
+            assert np.array_equal(qd.bell_diagonal_state(t).mat, mat / 4.0)
 
 
 class TestBellStates:
