@@ -2,8 +2,10 @@
 
 Expanding rho = sum_nm r_nm A_n x B_m over orthonormal Hermitian bases gives
 a real matrix R whose SVD rotates the local bases into operators S_n, F_n
-with rho = sum_n c_n S_n x F_n.  The state has zero discord iff the retained
-S_n pairwise commute; rank(R) > d_A alone already proves non-zero discord.
+with rho = sum_n c_n S_n x F_n.  The state has zero discord iff R keeps at
+most d_A singular values and the retained S_n pairwise commute.  The
+commutator is bilinear, so any orthonormal basis of the retained span, and
+hence any SVD under degenerate singular values, gives the same verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .basis import HermitianBasis, gell_mann_basis
 from .errors import DimensionError, ValidationError
-from .linalg import DensityMatrix, commutator_norm
+from .linalg import DensityMatrix, _check_tolerances
 
 RANK_ATOL = 1e-10
 RANK_RTOL = 1e-9
@@ -98,6 +100,7 @@ def correlation_matrix(
     rtol: float = RANK_RTOL,
 ) -> CorrelationMatrix:
     """Correlation matrix r_nm = Tr[rho (A_n x B_m)] with eager SVD."""
+    _check_tolerances(atol=atol, rtol=rtol)
     basis_a = basis_a if basis_a is not None else gell_mann_basis(rho.dim_a)
     basis_b = basis_b if basis_b is not None else gell_mann_basis(rho.dim_b)
     if basis_a.dim != rho.dim_a or basis_b.dim != rho.dim_b:
@@ -147,25 +150,6 @@ def reconstruct_state(cm: CorrelationMatrix) -> DensityMatrix:
     return DensityMatrix(mat, cm.dim_a, cm.dim_b)
 
 
-def _common_eigenbasis_exists(ops: list[np.ndarray], tol: float) -> bool:
-    """Whether the eigenbasis of a generically weighted sum diagonalizes all ops.
-
-    Deterministic weights (seed 0) make this a one-shot test for a common
-    eigenbasis of a commuting family; it guards the pairwise commutator check
-    against SVD basis ambiguity under degenerate singular values.
-    """
-    rng = np.random.default_rng(0)
-    weights = rng.standard_normal(len(ops))
-    mix = sum(w * op for w, op in zip(weights, ops))
-    _, v = np.linalg.eigh(0.5 * (mix + mix.conj().T))
-    for op in ops:
-        rotated = v.conj().T @ op @ v
-        off = rotated - np.diag(np.diagonal(rotated))
-        if np.linalg.norm(off) > tol * max(np.linalg.norm(op), 1e-300):
-            return False
-    return True
-
-
 def zero_discord_test(
     rho: DensityMatrix,
     tol: float = COMMUTATOR_TOL,
@@ -176,31 +160,26 @@ def zero_discord_test(
 ) -> ZeroDiscordVerdict:
     """Decide whether a state has zero discord with respect to subsystem A.
 
-    Checks the rank witness first (rank > d_A proves discord), then the
-    pairwise commutators of the retained S_n normalized by their Frobenius
-    norms, with a joint-diagonalization fallback for degenerate spectra.
+    The verdict is rank_l <= d_A and max_commutator <= tol, where rank_l
+    counts the singular values of R above the rank cutoff and max_commutator
+    is the largest Frobenius norm ||S_i S_j - S_j S_i|| over the retained S_n.
+    The S_n are orthonormal (an orthonormal basis rotated by orthonormal
+    columns of U), so these norms need no rescaling.
     """
+    _check_tolerances(tol=tol, rank_atol=rank_atol, rank_rtol=rank_rtol)
     cm = correlation_matrix(rho, basis_a, basis_b, atol=rank_atol, rtol=rank_rtol)
     rank = numerical_rank(cm)
     witness = rank > rho.dim_a
 
-    ops = list(_rotated_operators(cm.svd_u[:, :rank], cm.basis_a))
-    norms = [max(np.linalg.norm(op), 1e-300) for op in ops]
+    ops = _rotated_operators(cm.svd_u[:, :rank], cm.basis_a)
     max_comm = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            c = commutator_norm(ops[i], ops[j]) / (norms[i] * norms[j])
-            if c > max_comm:
-                max_comm = c
+    for i in range(rank - 1):
+        # [S_i, S_j] for every j > i as one batched product: O(rank d_A^2) memory.
+        comm = ops[i] @ ops[i + 1 :] - ops[i + 1 :] @ ops[i]
+        max_comm = max(max_comm, float(np.linalg.norm(comm, axis=(1, 2)).max()))
 
-    if witness:
-        is_zero = False
-    elif max_comm <= tol:
-        is_zero = True
-    else:
-        is_zero = _common_eigenbasis_exists(ops, tol)
     return ZeroDiscordVerdict(
-        is_zero_discord=is_zero,
+        is_zero_discord=not witness and max_comm <= tol,
         rank_l=rank,
         max_commutator=max_comm,
         witness_triggered=witness,
@@ -237,6 +216,7 @@ def partial_rows_witness(
     ``rows`` is an iterable of (a_index, vector) pairs.  Finding d_A + 1
     linearly independent rows proves the state has non-zero discord.
     """
+    _check_tolerances(atol=atol, rtol=rtol)
     _, stacked = _coerce_rows(rows)
     c = np.linalg.svd(stacked, compute_uv=False)
     count = int(np.sum(c > _rank_cutoff(c, atol, rtol)))
@@ -248,6 +228,7 @@ def certifying_rows(rows, dim_a: int, atol: float = RANK_ATOL, rtol: float = RAN
 
     Returns None when the supplied rows cannot prove discord.
     """
+    _check_tolerances(atol=atol, rtol=rtol)
     indices, stacked = _coerce_rows(rows)
     picked: list[int] = []
     kept = np.empty((0, stacked.shape[1]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, ValidationError
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _check_tolerances
 
 UNITARY_ATOL = 1e-9
 CLASSICALITY_RTOL = 1e-9
@@ -153,6 +153,7 @@ def dqc1_classicality_check(u, tol: float = CLASSICALITY_RTOL) -> Dqc1Classicali
     Equivalent to U = exp(i phi) A with A a Hermitian unitary; the returned
     phase is phi modulo pi.
     """
+    _check_tolerances(tol=tol)
     u = _check_unitary(u)
     d = u.shape[0]
     u2 = u @ u

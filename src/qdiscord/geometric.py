@@ -159,12 +159,10 @@ def geometric_discord_2q(rho: DensityMatrix) -> GeometricResult:
                 e_star = -e_star
             break
     value = 0.25 * (float(b.x @ b.x) + float(np.sum(b.corr**2)) - k_max)
-    chi_star = ZeroDiscordPoint(
-        e=e_star,
-        t=float(b.x @ e_star),
-        s_plus=b.y,
-        s_minus=b.corr.T @ e_star,
-    ).to_state()
+    # rho measured along e_star: PSD by construction, so no clamping is needed.
+    chi_star = DensityMatrix(
+        state_from_bloch(float(b.x @ e_star) * e_star, b.y, np.outer(e_star, b.corr.T @ e_star)), 2, 2
+    )
     return GeometricResult(value=value, k_max=k_max, e_star=e_star, chi_star=chi_star)
 
 

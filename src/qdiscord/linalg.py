@@ -37,6 +37,13 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "mat", op))
 
 
+def _check_tolerances(**tolerances: float) -> None:
+    """Raise ValidationError naming the first tolerance outside 0 <= value < inf."""
+    for name, value in tolerances.items():
+        if not 0.0 <= value < float("inf"):
+            raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
-from qdiscord.correlation import _common_eigenbasis_exists
-from qdiscord.linalg import ID2, SIGMA_X, SIGMA_Z
+from qdiscord.linalg import ID2
+
+BAD_TOLERANCES = [float("nan"), -1.0, float("inf")]
 
 
 def _random_b_state(rng, d):
@@ -20,6 +23,23 @@ def _random_cq_state(seed, dim_a=2, dim_b=2):
     p /= p.sum()
     states = [_random_b_state(rng, dim_b) for _ in range(dim_a)]
     return qd.classical_quantum_state(p, [u[:, i] for i in range(dim_a)], states)
+
+
+def _criterion_05_cq_state(seed, dim_a, dim_b):
+    """Classical-quantum state with 2..dim_a terms, as in acceptance criterion 05."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, dim_a + 1))
+    u = qd.random_unitary(dim_a, seed + 10_000)
+    p = rng.uniform(0.05, 1.0, k)
+    p /= p.sum()
+    states = [_random_b_state(rng, dim_b) for _ in range(k)]
+    return qd.classical_quantum_state(p, [u[:, i] for i in range(k)], states)
+
+
+def _eps_mixed_cq_state(seed, eps):
+    """A 2x2 classical-quantum state mixed with eps of a random state."""
+    mat = (1.0 - eps) * _random_cq_state(seed).mat + eps * qd.random_density_matrix(2, 2, seed + 7).mat
+    return qd.DensityMatrix(mat, 2, 2)
 
 
 class TestCorrelationMatrix:
@@ -52,6 +72,12 @@ class TestCorrelationMatrix:
         assert np.linalg.norm(cm.svd_u * cm.singulars @ cm.svd_v.T - cm.r) <= 1e-10 * max(
             1.0, np.linalg.norm(cm.r)
         )
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    @pytest.mark.parametrize("name", ["atol", "rtol"])
+    def test_rejects_bad_tolerance(self, bell, name, bad):
+        with pytest.raises(qd.ValidationError, match=f"^{name} must be finite and >= 0"):
+            qd.correlation_matrix(bell, **{name: bad})
 
     def test_rejects_basis_mismatch(self):
         rho = qd.random_density_matrix(2, 2, 0)
@@ -215,11 +241,87 @@ class TestZeroDiscordTest:
         verdict = qd.zero_discord_test(classical_bits)
         assert verdict.is_zero_discord
 
-    def test_common_eigenbasis_helper(self):
-        commuting = [np.diag([1.0, 2.0, 3.0]).astype(complex), np.diag([0.0, 1.0, -1.0]).astype(complex)]
-        assert _common_eigenbasis_exists(commuting, 1e-9)
-        noncommuting = [SIGMA_X.copy(), SIGMA_Z.copy()]
-        assert not _common_eigenbasis_exists(noncommuting, 1e-9)
+    def test_verdict_is_rank_and_commutator_rule(self):
+        # near the commutator tolerance no second rule may overturn the two printed inputs
+        states = [_eps_mixed_cq_state(seed, eps) for eps in (3e-10, 1e-9, 3e-9) for seed in range(100)]
+        for dim_a in (2, 3, 4):
+            for dim_b in (2, 3, 4, 5):
+                for seed in range(5):
+                    states.append(_criterion_05_cq_state(100 * dim_a + 10 * dim_b + seed, dim_a, dim_b))
+                    states.append(qd.random_density_matrix(dim_a, dim_b, 500 + 20 * dim_a + 4 * dim_b + seed))
+        tol = qd.correlation.COMMUTATOR_TOL
+        near_tol = 0
+        for rho in states:
+            v = qd.zero_discord_test(rho)
+            assert v.is_zero_discord == (not v.witness_triggered and v.max_commutator <= tol)
+            assert v.witness_triggered == (v.rank_l > rho.dim_a)
+            near_tol += not v.witness_triggered and tol < v.max_commutator < 2 * tol
+        # the corpus does probe the boundary
+        assert near_tol > 0
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_max_commutator_matches_pairwise_norms(self, dims):
+        for seed in range(5):
+            for rho in (qd.random_density_matrix(*dims, seed), _random_cq_state(seed, *dims)):
+                ops = [p.op_a for p in qd.local_operators(qd.correlation_matrix(rho))]
+                expected = 0.0
+                for i in range(len(ops)):
+                    for j in range(i + 1, len(ops)):
+                        scale = np.linalg.norm(ops[i]) * np.linalg.norm(ops[j])
+                        expected = max(expected, qd.commutator_norm(ops[i], ops[j]) / scale)
+                got = qd.zero_discord_test(rho).max_commutator
+                assert type(got) is float
+                assert abs(got - expected) <= 1e-14
+
+    def test_local_operators_are_normalized(self):
+        # Gell-Mann bases, then the seeded rotations of test_basis_covariance
+        rng = np.random.default_rng(7)
+
+        def rotated_basis(d):
+            base = qd.gell_mann_basis(d)
+            k = d * d - 1
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            mix = np.zeros((d * d, d * d))
+            mix[0, 0] = 1.0
+            mix[1:, 1:] = q
+            return qd.HermitianBasis(dim=d, ops=np.einsum("nk,kij->nij", mix, base.ops))
+
+        states = [_random_cq_state(21), qd.four_nonorthogonal_state(), qd.bell_state(1)]
+        states += [qd.random_density_matrix(3, 2, 4), _random_cq_state(5, 3, 3)]
+        for rho in states:
+            for ba, bb in [
+                (None, None),
+                (rotated_basis(rho.dim_a), rotated_basis(rho.dim_b)),
+            ]:
+                for p in qd.local_operators(qd.correlation_matrix(rho, ba, bb)):
+                    assert abs(np.linalg.norm(p.op_a) - 1.0) <= 1e-12
+
+    def test_large_state_memory_stays_linear_in_rank(self):
+        # 16x16 keeps 256 operators; one k x k x d_A x d_A product stack alone is 268 MB
+        rho = qd.random_density_matrix(16, 16, 0)
+        tracemalloc.start()
+        try:
+            verdict = qd.zero_discord_test(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.witness_triggered
+        assert peak < 64 * 2**20
+
+    def test_agrees_with_geometric_discord_on_clear_cases(self):
+        states = [_random_cq_state(seed) for seed in range(50)]
+        states += [qd.random_density_matrix(2, 2, 700 + seed) for seed in range(50)]
+        states += [qd.bell_diagonal_state(t) for t in ([0.7, 0, 0], [0, -0.4, 0], [0, 0, 1.0], [0, 0, 0])]
+        states += [qd.bell_state(i) for i in range(4)] + [qd.four_nonorthogonal_state()]
+        for rho in states:
+            zero_geometric = qd.geometric_discord_2q(rho).value <= 1e-12
+            assert qd.zero_discord_test(rho).is_zero_discord == zero_geometric
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    @pytest.mark.parametrize("name", ["tol", "rank_atol", "rank_rtol"])
+    def test_rejects_bad_tolerance(self, bell, name, bad):
+        with pytest.raises(qd.ValidationError, match=f"^{name} must be finite and >= 0"):
+            qd.zero_discord_test(bell, **{name: bad})
 
 
 class TestPartialRowsWitness:
@@ -246,6 +348,15 @@ class TestPartialRowsWitness:
     def test_duplicate_index_rejected(self):
         with pytest.raises(qd.ValidationError):
             qd.partial_rows_witness([(0, [1.0, 0, 0, 0]), (0, [0, 1.0, 0, 0])], 2)
+
+    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
+    @pytest.mark.parametrize("name", ["atol", "rtol"])
+    @pytest.mark.parametrize("func", [qd.partial_rows_witness, qd.certifying_rows])
+    def test_rejects_bad_tolerance(self, bell, func, name, bad):
+        cm = qd.correlation_matrix(bell)
+        rows = [(n, cm.r[n]) for n in range(4)]
+        with pytest.raises(qd.ValidationError, match=f"^{name} must be finite and >= 0"):
+            func(rows, 2, **{name: bad})
 
     def test_certifying_rows(self, bell):
         cm = qd.correlation_matrix(bell)

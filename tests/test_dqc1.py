@@ -216,6 +216,11 @@ class TestClassicality:
         with pytest.raises(qd.NotUnitaryError):
             qd.dqc1_classicality_check(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_rejects_bad_tolerance(self, bad):
+        with pytest.raises(qd.ValidationError, match="^tol must be finite and >= 0"):
+            qd.dqc1_classicality_check(qd.random_unitary(2, 5), tol=bad)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
     def test_gram_matches_trace_products(self, d):
         rng = np.random.default_rng(d)

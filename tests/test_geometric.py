@@ -144,6 +144,22 @@ class TestClosedForm:
             assert qd.zero_discord_test(res.chi_star).is_zero_discord
             assert qd.hs_distance_sq(rho, res.chi_star) == pytest.approx(res.value, abs=1e-10)
 
+    def test_minimizer_is_state_measured_along_e_star(self):
+        paulis = (qd.linalg.SIGMA_X, qd.linalg.SIGMA_Y, qd.linalg.SIGMA_Z)
+        states = [qd.random_density_matrix(2, 2, seed) for seed in range(20)]
+        for seed in range(20):
+            psi = qd.random_unitary(4, 400 + seed)[:, 0]
+            states.append(qd.DensityMatrix(np.outer(psi, psi.conj()), 2, 2))
+        states += [qd.bell_state(i) for i in range(4)]
+        for rho in states:
+            res = qd.geometric_discord_2q(rho)
+            e_sigma = sum(e * s for e, s in zip(res.e_star, paulis))
+            measured = np.zeros((4, 4), dtype=complex)
+            for sign in (1.0, -1.0):
+                proj = np.kron((np.eye(2) + sign * e_sigma) / 2.0, np.eye(2))
+                measured += proj @ rho.mat @ proj
+            assert_allclose(res.chi_star.mat, measured, rtol=0, atol=1e-15)
+
     def test_stationarity_of_minimizer(self):
         for seed in range(10):
             rho = qd.random_density_matrix(2, 2, seed)
