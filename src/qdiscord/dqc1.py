@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, ValidationError
-from .linalg import DensityMatrix, _check_tolerances
+from .linalg import PSD_ATOL, DensityMatrix, _check_tolerances
 
 UNITARY_ATOL = 1e-9
 CLASSICALITY_RTOL = 1e-9
@@ -63,7 +63,29 @@ class Dqc1Instance:
 
 
 def dqc1_output_state(inst: Dqc1Instance) -> DensityMatrix:
-    """Output state (1 x 1 + alpha |1><0| x U + alpha |0><1| x U†) / 2^(n+1)."""
+    """Output state (1 x 1 + alpha |1><0| x U + alpha |0><1| x U†) / 2^(n+1).
+
+    With d = 2^n, the spectrum is (1 ± alpha s_k)/(2d) over the singular
+    values s_k of U, so the state's validity follows from the instance's
+    checks instead of a factorization:
+
+    - ``Dqc1Instance`` accepts U only with ||U†U - 1||_F <= UNITARY_ATOL, so
+      s_max² <= 1 + UNITARY_ATOL and s_max <= 1 + UNITARY_ATOL/2.
+    - With 0 < alpha <= 1 the minimum eigenvalue (1 - alpha s_max)/(2d) is
+      >= -UNITARY_ATOL/(4d), which clears -PSD_ATOL when
+      UNITARY_ATOL <= 4d PSD_ATOL: today n >= 2.  The smallest margin,
+      3.75e-11 at n = 2, dwarfs the ~1e-16 that rounding alpha U moves an
+      eigenvalue by.
+    - The upper block is written as the conjugate transpose of the lower
+      one and the diagonal is real, so the matrix is exactly Hermitian.
+    - 1/(2d) is a power of 2, so the trace is exactly 1.
+    - U is checked finite and 0 < alpha <= 1 excludes NaN and inf, so every
+      entry is finite.
+
+    When the bound clears, the state is built by
+    ``DensityMatrix._certified`` with no copy and no Cholesky; otherwise
+    (n = 1 with today's constants) the full validation runs.
+    """
     d = 2**inst.n
     u = inst.unitary
     mat = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -73,6 +95,8 @@ def dqc1_output_state(inst: Dqc1Instance) -> DensityMatrix:
     np.multiply(u, inst.alpha, out=lower)
     lower /= 2 * d
     np.conjugate(lower.T, out=upper)
+    if UNITARY_ATOL <= 4 * d * PSD_ATOL:
+        return DensityMatrix._certified(mat, 2, d)
     return DensityMatrix(mat, 2, d)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import _accel
 from .correlation import _expand, _rebuild
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
-from .linalg import _PAULI_STACK, DensityMatrix, _as_matrix
+from .linalg import _PAULI_STACK, DensityMatrix, _as_matrix, _check_tolerances
 
 GEOM_PSD_SLACK = 1e-8
 
@@ -29,12 +29,14 @@ _TETRA_VERTICES = np.array(
 
 def tetrahedron_contains(t, atol: float = 1e-12) -> bool:
     """True if the Bell-diagonal state with correlation vector t is physical."""
+    _check_tolerances(atol=atol)
     t = np.asarray(t, dtype=float)
     return bool(np.all(1.0 + _TETRA_VERTICES @ t >= -atol))
 
 
 def octahedron_contains(t, atol: float = 1e-12) -> bool:
     """True if the Bell-diagonal state with correlation vector t is separable."""
+    _check_tolerances(atol=atol)
     t = np.asarray(t, dtype=float)
     return bool(np.abs(t).sum() <= 1.0 + atol)
 

@@ -103,6 +103,24 @@ class DensityMatrix:
             if wmin < -PSD_ATOL:
                 raise ValidationError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
 
+    @classmethod
+    def _certified(cls, mat: np.ndarray, dim_a: int, dim_b: int) -> DensityMatrix:
+        """Wrap ``mat`` without copying or validating it; ``mat`` becomes read-only.
+
+        Only for a caller that has proven every invariant ``__post_init__``
+        checks: a complex (dim_a*dim_b)-square matrix with finite entries,
+        Hermitian within HERMITIAN_ATOL, trace 1 within TRACE_ATOL and minimum
+        eigenvalue >= -PSD_ATOL.  The caller must hold no other writable
+        reference to ``mat``.  ``dqc1_output_state`` is the one caller; its
+        docstring carries the proof.
+        """
+        mat.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "mat", mat)
+        object.__setattr__(rho, "dim_a", dim_a)
+        object.__setattr__(rho, "dim_b", dim_b)
+        return rho
+
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
@@ -159,8 +177,13 @@ def von_neumann_entropy(rho) -> float:
 
 
 def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(a† b)."""
-    return complex(np.trace(_as_matrix(a).conj().T @ _as_matrix(b)))
+    """Hilbert-Schmidt inner product Tr(a† b) of two matrices of the same shape."""
+    a = _as_matrix(a)
+    b = _as_matrix(b)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DimensionError(f"need two matrices of the same shape, got {a.shape} and {b.shape}")
+    # Tr(a† b) = sum(conj(a) * b): O(d²), no matrix product
+    return complex(np.vdot(a, b))
 
 
 def commutator_norm(a, b) -> float:

@@ -18,6 +18,27 @@ def _pauli_string(indices):
     return out
 
 
+# A defect just inside UNITARY_ATOL (1e-9): the largest singular value is sqrt(1 + BOUNDARY_DEFECT).
+BOUNDARY_DEFECT = 0.99e-9
+
+
+def _boundary_unitary(n, seed):
+    """V diag(sqrt(1 + BOUNDARY_DEFECT), 1, ...) W for two seeded Haar unitaries V and W."""
+    d = 2**n
+    s = np.ones(d)
+    s[0] = np.sqrt(1.0 + BOUNDARY_DEFECT)
+    return (qd.random_unitary(d, seed) * s) @ qd.random_unitary(d, seed + 1)
+
+
+def _certificate_unitary(kind, n):
+    if kind == "haar":
+        return qd.random_unitary(2**n, 100 + n)
+    if kind == "involution":
+        rng = np.random.default_rng(n)
+        return np.exp(1j * rng.uniform(-np.pi, np.pi)) * _pauli_string(rng.integers(0, 4, n))
+    return _boundary_unitary(n, 200 + n)
+
+
 class TestInstance:
     def test_rejects_alpha_zero(self):
         with pytest.raises(qd.ValidationError):
@@ -87,6 +108,75 @@ class TestOutputState:
         # rank 2^n of 2^(n+1): the eigenvalues are 0 and 1/2^n, half each
         assert np.sum(np.abs(w) <= 1e-12) == 2**n
         assert np.allclose(w[2**n :], 1.0 / 2**n, atol=1e-12)
+
+
+class TestCertifiedPositivity:
+    @pytest.mark.parametrize("kind", ["haar", "involution", "boundary"])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_full_validation_accepts_certified_states(self, n, kind):
+        u = _certificate_unitary(kind, n)
+        for alpha in (0.2, 0.7, 1.0):
+            rho = qd.dqc1_output_state(qd.Dqc1Instance(n=n, alpha=alpha, unitary=u))
+            qd.DensityMatrix(rho.mat, 2, 2**n)
+            if n <= 8:
+                assert np.linalg.eigvalsh(rho.mat)[0] >= -qd.linalg.PSD_ATOL
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_certified_states_skip_the_factorizations(self, n, monkeypatch):
+        inst = qd.Dqc1Instance(n=n, alpha=0.7, unitary=qd.random_unitary(2**n, n))
+
+        class Reached(Exception):
+            pass
+
+        def forbidden(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        if n == 1:
+            # 1e-9/(4 * 2) > 1e-10: the bound cannot clear PSD_ATOL, so the full validation runs
+            with pytest.raises(Reached):
+                qd.dqc1_output_state(inst)
+        else:
+            assert qd.dqc1_output_state(inst).dim_b == 2**n
+
+    def test_certificate_follows_the_constants(self, monkeypatch):
+        # with a tighter PSD_ATOL, 1e-9 <= 4 * 2^n * PSD_ATOL needs n >= 8
+        monkeypatch.setattr(qd.dqc1, "PSD_ATOL", 1e-12)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape[0])
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        for n in (7, 8):
+            qd.dqc1_output_state(qd.Dqc1Instance(n=n, alpha=1.0, unitary=np.eye(2**n)))
+        assert calls == [2 * 2**7]  # only the 7-qubit state, 256 x 256, was factorized
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_state_is_read_only(self, n):
+        rho = qd.dqc1_output_state(qd.Dqc1Instance(n=n, alpha=0.5, unitary=np.eye(2**n)))
+        assert not rho.mat.flags.writeable
+        with pytest.raises(ValueError):
+            rho.mat[0, 0] = 1.0
+
+    def test_boundary_defect_at_one_qubit_fails_validation(self):
+        u = _boundary_unitary(1, 7)
+        defect = np.linalg.norm(u.conj().T @ u - np.eye(2))
+        assert 0.98e-9 <= defect <= qd.dqc1.UNITARY_ATOL
+        inst = qd.Dqc1Instance(n=1, alpha=1.0, unitary=u)
+        # lambda_min = (1 - sqrt(1 + 0.99e-9))/4 = -1.24e-10, below -PSD_ATOL
+        with pytest.raises(qd.ValidationError, match=r"min eigenvalue -1\.2[34]\de-10"):
+            qd.dqc1_output_state(inst)
+
+    def test_boundary_defect_at_two_qubits_is_certified(self):
+        u = _boundary_unitary(2, 7)
+        rho = qd.dqc1_output_state(qd.Dqc1Instance(n=2, alpha=1.0, unitary=u))
+        # lambda_min = (1 - sqrt(1 + 0.99e-9))/8 = -6.19e-11, within -PSD_ATOL
+        assert np.linalg.eigvalsh(rho.mat)[0] == pytest.approx(-6.19e-11, abs=0.02e-11)
+        qd.DensityMatrix(rho.mat, 2, 4)
 
 
 class TestExactReadout:

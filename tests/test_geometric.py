@@ -30,6 +30,13 @@ class TestRegionTests:
         assert not qd.tetrahedron_contains([1, 1, 1])
         assert not qd.octahedron_contains([0.6, 0.6, 0.0])
 
+    @pytest.mark.parametrize("contains", ["tetrahedron_contains", "octahedron_contains"])
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_rejects_bad_tolerance(self, contains, bad):
+        # nan would call the origin outside both regions; inf would call every point inside
+        with pytest.raises(qd.ValidationError, match="^atol must be finite and >= 0"):
+            getattr(qd, contains)([0.0, 0.0, 0.0], atol=bad)
+
     def test_tetrahedron_matches_eigenvalues(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

@@ -206,6 +206,24 @@ class TestHsInner:
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert qd.hs_inner(a, b) == pytest.approx(np.conj(qd.hs_inner(b, a)))
 
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_matches_written_out_trace(self, d):
+        rng = np.random.default_rng(d)
+        a, b = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        # unit Frobenius norm, so |Tr(a† b)| <= 1 and 1e-14 is an absolute bound
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        expected = np.trace(a.conj().T @ b)
+        assert abs(qd.hs_inner(a, b) - expected) <= 1e-14
+        assert isinstance(qd.hs_inner(a, b), complex)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b", [((2, 3), (2, 4)), ((2, 2), (3, 3)), ((4,), (4,)), ((2, 2, 2), (2, 2, 2))]
+    )
+    def test_rejects_mismatched_or_non_matrix_operands(self, shape_a, shape_b):
+        with pytest.raises(qd.DimensionError, match="same shape"):
+            qd.hs_inner(np.ones(shape_a), np.ones(shape_b))
+
 
 class TestCommutatorNorm:
     def test_self_commutes(self):
