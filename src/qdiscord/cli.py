@@ -44,6 +44,8 @@ from .states import (
     random_unitary,
 )
 
+_GRID_HELP = "sphere lattice size; its z >= 0 half is scanned"
+
 
 def _print_doc(doc: dict) -> None:
     sys.stdout.write(fileio.dumps_report(doc))
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state file (JSON)")
     p.add_argument("--rank-tol", type=_tolerance, default=RANK_RTOL, help="relative rank cutoff")
     p.add_argument("--comm-tol", type=_tolerance, default=COMMUTATOR_TOL, help="commutator tolerance")
-    p.add_argument("--ent-grid", type=int, default=GRID_POINTS, help="measurement grid size")
+    p.add_argument("--ent-grid", type=int, default=GRID_POINTS, help=_GRID_HELP)
     p.add_argument("--ent-refine", type=int, default=REFINE_ITERS, help="refinement iterations")
     p.set_defaults(func=cmd_analyze)
 
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropic", help="entropic discord of a state with qubit A side")
     p.add_argument("state", help="state file (JSON)")
-    p.add_argument("--grid", type=int, default=GRID_POINTS)
+    p.add_argument("--grid", type=int, default=GRID_POINTS, help=_GRID_HELP)
     p.add_argument("--refine-iters", type=int, default=REFINE_ITERS)
     p.set_defaults(func=cmd_entropic)
     return parser

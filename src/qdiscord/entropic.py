@@ -2,10 +2,11 @@
 
 Classical correlation Q_A is the entropy drop of B after the best projective
 measurement on A; discord is mutual information minus Q_A.  The optimizer
-covers a qubit A side: a deterministic Fibonacci sphere grid of measurement
-directions followed by simplex refinement from the best grid points.  The
-projective optimum is an upper bound on the POVM-optimized discord and is
-flagged as such in reports.
+covers a qubit A side: a deterministic Fibonacci grid of measurement
+directions over the z >= 0 hemisphere (e and -e are one measurement),
+followed by simplex refinement from the best grid points.  The projective
+optimum is an upper bound on the POVM-optimized discord and is flagged as
+such in reports.
 """
 
 from __future__ import annotations
@@ -159,9 +160,13 @@ def classical_correlation_qa(
 ) -> ClassicalCorrelationResult:
     """Q_A = H(B) - min over projective A-measurements of sum_k p_k H(B|k).
 
-    Deterministic: Fibonacci grid, then Nelder-Mead refinement in sphere
-    angles from the best grid points; ties resolve to the lowest lattice
-    index.  Only a qubit A side is supported.
+    Deterministic: the z >= 0 half of a ``grid_points``-point Fibonacci
+    lattice is scanned, since e and -e are the same measurement; ties resolve
+    to the lowest lattice index.  Nelder-Mead then refines the best
+    ``refine_starts`` points in sphere angles and stops once two of them
+    settle on the same minimum.  Its ``xatol`` is 1e-7 rad: near a minimum
+    f(x + d) - f* ~ d^2, so smaller steps only chase rounding in the
+    entropy.  Only a qubit A side is supported.
     """
     if rho.dim_a != 2:
         raise DimensionError(
@@ -174,6 +179,7 @@ def classical_correlation_qa(
         )
     g0, gx, gy, gz = _pauli_blocks(rho)
     dirs = fibonacci_sphere(grid_points)
+    dirs = dirs[dirs[:, 2] >= 0.0]  # e and -e are one measurement
     values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
 
     best_order = np.argsort(values, kind="stable")
@@ -191,7 +197,8 @@ def classical_correlation_qa(
             _initial_simplices(angles),
             refine_iters,
             fatol=1e-13,
-            xatol=1e-10,
+            xatol=1e-7,
+            settle=2,
         )
         for value, x in zip(refined, minimizers):
             if value < best_val - 1e-15:

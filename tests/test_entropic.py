@@ -3,8 +3,94 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
-from qdiscord.entropic import _pauli_blocks
+from qdiscord import _accel
+from qdiscord.entropic import (
+    GRID_POINTS,
+    REFINE_ITERS,
+    REFINE_STARTS,
+    _angles_to_dir,
+    _initial_simplices,
+    _pauli_blocks,
+)
 from qdiscord.linalg import ID2
+
+
+def _random_b_state(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _criterion_05_qubit_cq_states():
+    """The d_A = 2 classical-quantum states of acceptance criterion 05, same seeds and draws."""
+    out = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        dim_a = int(rng.integers(2, 4))
+        dim_b = int(rng.integers(2, 4))
+        k = int(rng.integers(2, dim_a + 1))
+        if dim_a != 2:
+            continue
+        u = qd.random_unitary(dim_a, seed + 10_000)
+        p = rng.uniform(0.05, 1.0, k)
+        p /= p.sum()
+        states = [_random_b_state(rng, dim_b) for _ in range(k)]
+        out.append(qd.classical_quantum_state(p, [u[:, i] for i in range(k)], states))
+    return out
+
+
+def _bell_diagonal_eigenvalues(t):
+    t1, t2, t3 = t
+    return np.array(
+        [1 - t1 - t2 - t3, 1 - t1 + t2 + t3, 1 + t1 - t2 + t3, 1 + t1 + t2 - t3]
+    ) / 4.0
+
+
+def _inner_tetrahedron_points(seed, count, margin=1e-3):
+    """Seeded points of the physical tetrahedron at least ``margin`` from each face.
+
+    The face where eigenvalue lam_k vanishes lies 4 lam_k / sqrt(3) away.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        t = rng.uniform(-1.0, 1.0, 3)
+        if 4.0 * _bell_diagonal_eigenvalues(t).min() / np.sqrt(3.0) >= margin:
+            out.append(t)
+    return out
+
+
+class _CountedScan:
+    """The entropy scan, counting its calls and the directions it evaluates."""
+
+    def __init__(self):
+        self.calls = 0
+        self.points = 0
+
+    def __call__(self, g0, gx, gy, gz, dirs):
+        self.calls += 1
+        self.points += len(dirs)
+        return _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
+
+
+def _full_sphere_minimum(rho, scan):
+    """Minimum conditional entropy by the earlier optimizer: the whole lattice,
+    then the best REFINE_STARTS points refined to xatol = 1e-10, no settle stop."""
+    g0, gx, gy, gz = _pauli_blocks(rho)
+    dirs = qd.fibonacci_sphere(GRID_POINTS)
+    values = scan(g0, gx, gy, gz, dirs)
+    starts = dirs[np.argsort(values, kind="stable")[:REFINE_STARTS]]
+    angles = np.column_stack(
+        [np.arccos(np.clip(starts[:, 2], -1.0, 1.0)), np.arctan2(starts[:, 1], starts[:, 0])]
+    )
+    refined, _ = _accel.nelder_mead(
+        lambda a: scan(g0, gx, gy, gz, _angles_to_dir(a)),
+        _initial_simplices(angles),
+        REFINE_ITERS,
+        fatol=1e-13,
+        xatol=1e-10,
+    )
+    return min(float(values.min()), float(refined.min()))
 
 
 class TestMeasurementA:
@@ -129,6 +215,24 @@ class TestClassicalCorrelation:
         with pytest.raises(qd.DimensionError):
             qd.classical_correlation_qa(qd.random_density_matrix(3, 2, 0))
 
+    def test_float_grid_points_accepted(self):
+        rho = qd.random_density_matrix(2, 2, 9)
+        res = qd.classical_correlation_qa(rho, grid_points=2048.0)
+        assert res.min_conditional_entropy == qd.classical_correlation_qa(rho).min_conditional_entropy
+
+    def test_no_worse_and_cheaper_than_full_sphere_refinement(self, monkeypatch):
+        states = _criterion_05_qubit_cq_states()
+        states += [qd.random_density_matrix(2, d, 300 + seed) for d in (2, 3) for seed in range(25)]
+        states += [qd.bell_diagonal_state(t) for t in _inner_tetrahedron_points(7, 20)]
+        reference = _CountedScan()
+        expected = [_full_sphere_minimum(rho, reference) for rho in states]
+        counted = _CountedScan()
+        monkeypatch.setattr(qd.entropic, "conditional_entropy_scan", counted)
+        got = [qd.classical_correlation_qa(rho).min_conditional_entropy for rho in states]
+        assert max(g - e for g, e in zip(got, expected)) <= 1e-12
+        assert counted.calls < reference.calls
+        assert counted.points < reference.points
+
     def test_grid_refinement_monotone(self):
         for seed in (1, 5):
             rho = qd.random_density_matrix(2, 2, seed)
@@ -158,6 +262,18 @@ class TestEntropicDiscord:
         assert coarse.min_conditional_entropy == pytest.approx(
             dense.min_conditional_entropy, abs=1e-5
         )
+
+    def test_bell_diagonal_matches_luo(self):
+        # S. Luo, PRA 77, 042303 (2008): for rho = (1 + sum_i t_i sigma_i x sigma_i)/4,
+        # I = 2 + sum_k lam_k log2 lam_k and the classical correlation is
+        # C = ((1 - c) log2(1 - c) + (1 + c) log2(1 + c))/2 with c = max_i |t_i|
+        for t in _inner_tetrahedron_points(2008, 60):
+            lam = _bell_diagonal_eigenvalues(t)
+            c = np.abs(t).max()
+            info = 2.0 + float(np.sum(lam * np.log2(lam)))
+            classical = ((1 - c) * np.log2(1 - c) + (1 + c) * np.log2(1 + c)) / 2.0
+            got = qd.entropic_discord(qd.bell_diagonal_state(t))
+            assert got == pytest.approx(info - classical, abs=1e-12)
 
     def test_asymmetry(self):
         # classical on A, quantum on B: D_A = 0 while D_B > 0
