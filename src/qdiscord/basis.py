@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonHermitianError, ValidationError
+from .linalg import _check_tolerances
 
 ORTHONORMAL_ATOL = 1e-12
 # Distinct dimensions whose Gell-Mann basis stays cached; a d = 64 basis is 268 MB.
@@ -80,6 +81,7 @@ def gell_mann_basis(d: int) -> HermitianBasis:
 
 def expand(op, basis: HermitianBasis, atol: float = 1e-9) -> np.ndarray:
     """Coefficients v_n = Tr(op A_n) of a Hermitian operator in ``basis``."""
+    _check_tolerances(atol=atol)
     mat = np.asarray(getattr(op, "mat", op), dtype=complex)
     if mat.shape != (basis.dim, basis.dim):
         raise DimensionError(f"operator shape {mat.shape} does not match basis dim {basis.dim}")

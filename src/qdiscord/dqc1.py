@@ -156,39 +156,19 @@ class Dqc1Classicality:
     phase: float | None
 
 
-def _hermitian_parts_gram(u: np.ndarray) -> tuple[float, float, float]:
-    """Tr(a a), Tr(b b) and Tr(a b) for a = (U + U†)/2 and b = (U - U†)/(2i)."""
-    a = (u + u.conj().T) / 2.0
-    b = (u - u.conj().T) / 2.0j
-    # a and b are Hermitian, so Tr(x y) = sum(conj(x) * y): no matrix product
-    return np.vdot(a, a).real, np.vdot(b, b).real, np.vdot(a, b).real
-
-
-def _hermitian_parts_dependent(u: np.ndarray, tol: float) -> bool:
-    """Linear dependence of (U + U†)/2 and (U - U†)/(2i) via their Gram matrix."""
-    gaa, gbb, gab = _hermitian_parts_gram(u)
-    det = gaa * gbb - gab * gab
-    return det <= tol * max(gaa, gbb, 1e-300) ** 2
-
-
 def dqc1_classicality_check(u, tol: float = CLASSICALITY_RTOL) -> Dqc1Classicality:
-    """The DQC1 output state has zero discord iff U^2 is proportional to 1.
+    """The DQC1 output state has zero discord iff U = exp(i phi) A, A a Hermitian unitary.
 
-    Equivalent to U = exp(i phi) A with A a Hermitian unitary; the returned
-    phase is phi modulo pi.
+    phi = arg(Tr U^2)/2 with Tr U^2 = sum_ij U_ij U_ji summed elementwise, and
+    the verdict is ||A - A†||_F <= tol ||U||_F for A = exp(-i phi) U; no U^2
+    product is formed.  For unitary U this is U^2 proportional to 1, and to
+    first order the defect is ||U^2 - (Tr U^2/d) 1||_F / ||U^2||_F.  The
+    returned phase is phi modulo pi.
     """
     _check_tolerances(tol=tol)
     u = _check_unitary(u)
-    d = u.shape[0]
-    u2 = u @ u
-    c = np.trace(u2) / d
-    defect = np.linalg.norm(u2 - c * np.eye(d))
-    zero = bool(defect <= tol * np.linalg.norm(u2))
-    if not zero:
+    phase = float(np.angle(np.sum(u * u.T)) / 2.0)
+    a = np.exp(-1j * phase) * u
+    if np.linalg.norm(a - a.conj().T) > tol * np.linalg.norm(u):
         return Dqc1Classicality(zero_discord=False, phase=None)
-    if not _hermitian_parts_dependent(u, max(tol, 1e-12) * 10.0):
-        raise RuntimeError(
-            "internal inconsistency: U^2 is proportional to the identity but the "
-            "Hermitian parts of U are linearly independent"
-        )
-    return Dqc1Classicality(zero_discord=True, phase=float(np.angle(c) / 2.0))
+    return Dqc1Classicality(zero_discord=True, phase=phase)

@@ -39,6 +39,8 @@ class MeasurementA:
         object.__setattr__(self, "projectors", ops)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[0] != ops.shape[1]:
             raise DimensionError(f"expected d rank-1 projectors of size d, got {ops.shape}")
+        if not np.all(np.isfinite(ops)):
+            raise ValidationError("projectors must have finite entries")
         for p in ops:
             if np.linalg.norm(p @ p - p) > 1e-10:
                 raise ValidationError("projectors must be idempotent")
@@ -55,7 +57,10 @@ class MeasurementA:
     def from_direction(cls, e) -> "MeasurementA":
         """Qubit measurement along a Bloch direction: (1 +- e.sigma)/2."""
         e = np.asarray(e, dtype=float)
-        e = e / np.linalg.norm(e)
+        norm = np.linalg.norm(e)
+        if not 0.0 < norm < np.inf:
+            raise ValidationError(f"direction must be finite and nonzero, got {e.tolist()}")
+        e = e / norm
         esig = np.array(
             [[e[2], e[0] - 1j * e[1]], [e[0] + 1j * e[1], -e[2]]], dtype=complex
         )

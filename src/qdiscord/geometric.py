@@ -16,9 +16,7 @@ import numpy as np
 from . import _accel
 from .correlation import _expand, _rebuild
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
-from .linalg import _PAULI_STACK, DensityMatrix, _as_matrix, _check_tolerances
-
-GEOM_PSD_SLACK = 1e-8
+from .linalg import _PAULI_STACK, PSD_ATOL, DensityMatrix, _as_matrix, _check_tolerances
 
 # Bell-diagonal tetrahedron vertices; 1 + t.v >= 0 for each vertex v is
 # exactly eigenvalue positivity of (1x1 + sum t_i sigma_i x sigma_i)/4.
@@ -77,23 +75,15 @@ def hs_distance_sq(rho, chi) -> float:
     return float(np.linalg.norm(a - b) ** 2)
 
 
-def _clamped_state(mat: np.ndarray) -> DensityMatrix:
-    """Build a two-qubit DensityMatrix, flooring tiny negative eigenvalues."""
-    mat = 0.5 * (mat + mat.conj().T)
-    w, v = np.linalg.eigh(mat)
-    if w[0] < -GEOM_PSD_SLACK:
-        raise OutsidePhysicalError(f"matrix is not a state: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    mat = (v * w) @ v.conj().T
-    return DensityMatrix(mat / np.trace(mat).real, 2, 2)
-
-
 @dataclass(frozen=True)
 class ZeroDiscordPoint:
     """Parameters (e, t, s+, s-) of a two-qubit zero-discord state.
 
     The state mixes the projectors along +-e with weights (1 +- t)/2 and
     carries conditional B states whose Bloch vectors combine to s+ and s-.
+    Construction checks the state's exact minimum eigenvalue,
+    min((1 + t) - |s+ + s-|, (1 - t) - |s+ - s-|)/4 at |e| = 1, against
+    -PSD_ATOL (NaN fails), so ``to_state`` neither clips nor renormalizes.
     """
 
     e: np.ndarray
@@ -106,12 +96,22 @@ class ZeroDiscordPoint:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "s_plus", np.asarray(self.s_plus, dtype=float))
         object.__setattr__(self, "s_minus", np.asarray(self.s_minus, dtype=float))
-        if abs(np.linalg.norm(e) - 1.0) > 1e-9:
-            raise OutsidePhysicalError("e must be a unit vector")
-        if abs(self.t) > 1.0 + 1e-12:
-            raise OutsidePhysicalError("t must lie in [-1, 1]")
-        if np.linalg.norm(self.s_plus) > 1.0 + 1e-9 or np.linalg.norm(self.s_minus) > 1.0 + 1e-9:
-            raise OutsidePhysicalError("s vectors must lie in the unit ball")
+        norm_e = float(np.linalg.norm(e))
+        if not abs(norm_e - 1.0) <= 1e-9:
+            raise OutsidePhysicalError(f"e must be a unit vector, got |e| = {norm_e}")
+        lam_min = self._min_eigenvalue()
+        if not lam_min >= -PSD_ATOL:  # written so that NaN fails
+            raise OutsidePhysicalError(f"not a state: min eigenvalue {lam_min:.3e}")
+
+    def _min_eigenvalue(self) -> float:
+        """Minimum eigenvalue of ``to_state``: on the +-|e| eigenspaces of
+        e.sigma the state is ((1 +- t|e|) 1 + (s+ +- |e| s-).sigma)/4."""
+        n = np.linalg.norm(self.e)
+        lam = [
+            (1.0 + k * self.t * n) - np.linalg.norm(self.s_plus + k * n * self.s_minus)
+            for k in (1, -1)
+        ]
+        return float(np.min(lam)) / 4.0
 
     @classmethod
     def from_mixture(cls, e, p1: float, b1, b2) -> "ZeroDiscordPoint":
@@ -127,9 +127,9 @@ class ZeroDiscordPoint:
         )
 
     def to_state(self) -> DensityMatrix:
-        """The induced density matrix, with PSD enforced at construction."""
-        return _clamped_state(
-            state_from_bloch(self.t * self.e, self.s_plus, np.outer(self.e, self.s_minus))
+        """The state (1x1 + t e.sigma x 1 + 1 x s+.sigma + e.sigma x s-.sigma)/4."""
+        return DensityMatrix(
+            state_from_bloch(self.t * self.e, self.s_plus, np.outer(self.e, self.s_minus)), 2, 2
         )
 
 

@@ -161,6 +161,7 @@ def swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
 
 def eig_hermitian(h, atol: float = 1e-9) -> Spectrum:
     """Descending-order eigendecomposition of a Hermitian matrix."""
+    _check_tolerances(atol=atol)
     mat = _as_matrix(h)
     defect = np.linalg.norm(mat - mat.conj().T)
     if defect > atol:

@@ -139,3 +139,9 @@ class TestExpand:
     def test_rejects_non_hermitian(self):
         with pytest.raises(qd.NonHermitianError):
             qd.expand(np.array([[0, 1], [0, 0]], dtype=complex), qd.gell_mann_basis(2))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_rejects_bad_tolerance(self, bad):
+        # with atol = nan or inf the non-Hermitian matrix was accepted
+        with pytest.raises(qd.ValidationError, match="^atol must be finite and >= 0"):
+            qd.expand(np.array([[0, 1], [0, 0]], dtype=complex), qd.gell_mann_basis(2), atol=bad)

@@ -1,10 +1,5 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -28,6 +23,44 @@ def _boundary_unitary(n, seed):
     s = np.ones(d)
     s[0] = np.sqrt(1.0 + BOUNDARY_DEFECT)
     return (qd.random_unitary(d, seed) * s) @ qd.random_unitary(d, seed + 1)
+
+
+def _u2_defect(u):
+    """||U^2 - c 1||_F / ||U^2||_F with c = Tr U^2/d, and c: the classicality rule on U^2."""
+    u2 = u @ u
+    c = np.trace(u2) / u.shape[0]
+    return np.linalg.norm(u2 - c * np.eye(u.shape[0])) / np.linalg.norm(u2), c
+
+
+def _exp_ih(h, eps):
+    """exp(i eps h) for a Hermitian h, unitary to rounding."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * eps * w)) @ v.conj().T
+
+
+def _classicality_corpus(n):
+    """Haar, phased Pauli strings, phased V diag(+-1) V†, and A exp(i eps H) near tol."""
+    d = 2**n
+    rng = np.random.default_rng(1000 + n)
+    cases = [qd.random_unitary(d, 10 * n + k) for k in range(3)]
+    for _ in range(3):
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        cases.append(phase * _pauli_string(rng.integers(0, 4, n)))
+    for k in range(3):
+        v = qd.random_unitary(d, 20 * n + k)
+        signs = rng.choice([-1.0, 1.0], d)
+        cases.append(np.exp(1j * rng.uniform(-np.pi, np.pi)) * (v * signs) @ v.conj().T)
+    # A exp(i eps H) with the U^2 defect at 0.3 to 3 times tol: the defect is
+    # linear in eps, so one probe at eps = 1e-6 sets the scale.
+    tol = qd.dqc1.CLASSICALITY_RTOL
+    v = qd.random_unitary(d, 30 * n)
+    a = np.exp(0.4j) * (v * rng.choice([-1.0, 1.0], d)) @ v.conj().T
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (g + g.conj().T) / 2.0
+    slope = _u2_defect(a @ _exp_ih(h, 1e-6))[0] / 1e-6
+    for factor in (0.3, 0.7, 0.9, 1.1, 1.5, 3.0):
+        cases.append(a @ _exp_ih(h, factor * tol / slope))
+    return cases
 
 
 def _certificate_unitary(kind, n):
@@ -311,42 +344,22 @@ class TestClassicality:
         with pytest.raises(qd.ValidationError, match="^tol must be finite and >= 0"):
             qd.dqc1_classicality_check(qd.random_unitary(2, 5), tol=bad)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 32, 64])
-    def test_gram_matches_trace_products(self, d):
-        rng = np.random.default_rng(d)
-        # a non-normal matrix at a unitary's scale: Frobenius norm about sqrt(d)
-        generic = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2 * d)
-        for u in (qd.random_unitary(d, d), np.exp(0.7j) * np.eye(d), generic):
-            a = (u + u.conj().T) / 2.0
-            b = (u - u.conj().T) / 2.0j
-            expected = [np.trace(x @ y).real for x, y in ((a, a), (b, b), (a, b))]
-            assert_allclose(qd.dqc1._hermitian_parts_gram(u), expected, rtol=0, atol=1e-12)
-
-    def test_inconsistent_parts_raise_internal_error(self, monkeypatch):
-        monkeypatch.setattr(qd.dqc1, "_hermitian_parts_dependent", lambda u, tol: False)
-        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        with pytest.raises(RuntimeError, match="internal inconsistency"):
-            qd.dqc1_classicality_check(h)
-
-    def test_internal_check_survives_optimized_mode(self):
-        # python -O strips assert statements; the check must not be one
-        code = (
-            "import numpy as np, qdiscord.dqc1 as m\n"
-            "m._hermitian_parts_dependent = lambda u, tol: False\n"
-            "try:\n"
-            "    m.dqc1_classicality_check(np.eye(2))\n"
-            "except RuntimeError:\n"
-            "    print('raised')\n"
-        )
-        src = os.path.dirname(os.path.dirname(qd.__file__))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True,
-            text=True,
-            check=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        ).stdout
-        assert out.strip() == "raised"
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_written_out_u2_rule(self, n):
+        verdicts = []
+        for u in _classicality_corpus(n):
+            got = qd.dqc1_classicality_check(u)
+            defect, c = _u2_defect(u)
+            zero = bool(defect <= qd.dqc1.CLASSICALITY_RTOL)
+            assert got.zero_discord == zero
+            verdicts.append(zero)
+            if zero:
+                gap = (got.phase - np.angle(c) / 2.0) % np.pi
+                assert min(gap, np.pi - gap) <= 1e-12
+            else:
+                assert got.phase is None
+        # Haar: discordant; Pauli strings and V diag(+-1) V†: classical; then 0.3 to 3 x tol
+        assert verdicts == [False] * 3 + [True] * 6 + [True] * 3 + [False] * 3
 
     def test_matches_state_verdict(self):
         cases = []

@@ -114,6 +114,23 @@ class TestMeasurementA:
         with pytest.raises(qd.ValidationError):
             qd.MeasurementA(np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), complex)]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_projectors(self, bad):
+        ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        ops[1, 0, 1] = bad
+        with pytest.raises(qd.ValidationError, match="finite"):
+            qd.MeasurementA(ops)
+        with pytest.raises(qd.ValidationError, match="finite"):
+            qd.MeasurementA(np.full((2, 2, 2), bad))
+
+    @pytest.mark.parametrize(
+        "direction", [[0.0, 0.0, 0.0], [float("nan"), 0.0, 1.0], [float("inf"), 0.0, 0.0]]
+    )
+    def test_rejects_zero_or_non_finite_direction(self, direction):
+        # checked before dividing: pytest would turn a 0/0 RuntimeWarning into an error
+        with pytest.raises(qd.ValidationError, match="direction must be finite and nonzero"):
+            qd.MeasurementA.from_direction(direction)
+
 
 class TestConditionalEnsemble:
     def test_product_state_conditionals_equal_marginal(self, product_mixed):

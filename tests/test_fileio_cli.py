@@ -261,7 +261,10 @@ class TestCliDqc1:
         assert "alpha" in err
 
     def test_internal_inconsistency_exits_1(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(qd.dqc1, "_hermitian_parts_dependent", lambda u, tol: False)
+        def faulty(u):
+            raise RuntimeError("internal inconsistency")
+
+        monkeypatch.setattr("qdiscord.cli.dqc1_classicality_check", faulty)
         path = tmp_path / "hadamard.json"
         fileio.save_unitary(np.array([[1, 1], [1, -1]]) / np.sqrt(2), path)
         code, _, err = _run(capsys, ["dqc1", "--unitary", str(path), "--alpha", "0.5"])

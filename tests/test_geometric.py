@@ -224,6 +224,52 @@ class TestZeroDiscordPoint:
         with pytest.raises(qd.OutsidePhysicalError):
             qd.ZeroDiscordPoint(e=[0, 0, 1.0], t=1.5, s_plus=[0, 0, 0], s_minus=[0, 0, 0])
 
+    def test_min_eigenvalue_matches_eigvalsh(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            e = rng.standard_normal(3)
+            b1, b2 = rng.standard_normal((2, 3))
+            # conditional Bloch vectors inside the ball, on its surface, or at its centre
+            b1 *= rng.choice([rng.uniform(0, 1), 1.0, 0.0]) / np.linalg.norm(b1)
+            b2 *= rng.choice([rng.uniform(0, 1), 1.0, 0.0]) / np.linalg.norm(b2)
+            p1 = rng.choice([rng.uniform(0, 1), 0.0, 1.0])
+            point = qd.ZeroDiscordPoint.from_mixture(e / np.linalg.norm(e), p1, b1, b2)
+            wmin = np.linalg.eigvalsh(point.to_state().mat)[0]
+            assert abs(point._min_eigenvalue() - wmin) <= 1e-15
+
+    def test_min_eigenvalue_keeps_the_norm_of_e(self):
+        # |e| = 1 + 9e-10 passes the unit check, and with t = 1 the state's
+        # minimum eigenvalue is -|e|/4 + 1/4 = -2.25e-10, below -PSD_ATOL
+        e = np.array([0.0, 0.0, 1.0 + 9e-10])
+        mat = qd.state_from_bloch(e, np.zeros(3), np.zeros((3, 3)))
+        assert np.linalg.eigvalsh(mat)[0] == pytest.approx(-2.25e-10, rel=1e-6)
+        with pytest.raises(qd.OutsidePhysicalError, match=r"min eigenvalue -2\.25\de-10"):
+            qd.ZeroDiscordPoint(e=e, t=1.0, s_plus=np.zeros(3), s_minus=np.zeros(3))
+
+    def test_rejects_slightly_outside_ball(self):
+        # lambda_min = (1 - (1 + 5e-10))/4 = -1.25e-10; before, the state was clipped silently
+        with pytest.raises(qd.OutsidePhysicalError, match=r"min eigenvalue -1\.25\de-10"):
+            qd.ZeroDiscordPoint(e=[0, 0, 1.0], t=0.0, s_plus=[1 + 5e-10, 0, 0], s_minus=0.0)
+
+    def test_rejects_non_state_at_construction(self):
+        # each s vector lies in the unit ball, but |s+ +- s-| = 1.13 > 1 - |t|
+        with pytest.raises(qd.OutsidePhysicalError, match="min eigenvalue"):
+            qd.ZeroDiscordPoint(e=[0, 0, 1.0], t=0.0, s_plus=[0.8, 0, 0], s_minus=[0, 0.8, 0])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"e": [float("nan"), 0, 1.0], "t": 0.0},
+            {"e": [0, 0, 1.0], "t": float("nan")},
+            {"e": [0, 0, 1.0], "t": 0.0, "s_plus": [float("nan"), 0, 0]},
+            {"e": [0, 0, 1.0], "t": 0.0, "s_minus": [0, float("nan"), 0]},
+        ],
+    )
+    def test_rejects_nan(self, kwargs):
+        kwargs = {"s_plus": [0, 0, 0], "s_minus": [0, 0, 0], **kwargs}
+        with pytest.raises(qd.OutsidePhysicalError):
+            qd.ZeroDiscordPoint(**kwargs)
+
     def test_mixture_construction_matches_direct(self):
         point = qd.ZeroDiscordPoint.from_mixture([0, 0, 1.0], 0.7, [0.1, 0, 0.2], [0, 0.3, 0])
         assert point.t == pytest.approx(0.4)

@@ -155,6 +155,12 @@ class TestEigHermitian:
         with pytest.raises(qd.NonHermitianError):
             qd.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_rejects_bad_tolerance(self, bad):
+        # with atol = nan or inf the non-Hermitian matrix was accepted
+        with pytest.raises(qd.ValidationError, match="^atol must be finite and >= 0"):
+            qd.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), atol=bad)
+
     def test_residuals_random(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
