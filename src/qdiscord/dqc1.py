@@ -82,9 +82,9 @@ def dqc1_output_state(inst: Dqc1Instance) -> DensityMatrix:
     - U is checked finite and 0 < alpha <= 1 excludes NaN and inf, so every
       entry is finite.
 
-    When the bound clears, the state is built by
-    ``DensityMatrix._certified`` with no copy and no Cholesky; otherwise
-    (n = 1 with today's constants) the full validation runs.
+    When the bound clears, the state is built by ``DensityMatrix._certified``
+    with no copy and no eigendecomposition; otherwise (n = 1 with today's
+    constants) the full validation runs.
     """
     d = 2**inst.n
     u = inst.unitary
@@ -104,8 +104,8 @@ def dqc1_exact_readout(state: DensityMatrix, alpha: float) -> complex:
     """Normalized trace (⟨sigma_1 x 1⟩ + i ⟨sigma_2 x 1⟩) / alpha of the control."""
     if state.dim_a != 2:
         raise DimensionError(f"control subsystem must be a qubit, got d_A = {state.dim_a}")
-    if alpha == 0.0:
-        raise ValidationError("alpha must be nonzero")
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
     t = state.blocks()
     z01 = np.trace(t[0, :, 1, :])
     m1 = 2.0 * z01.real

@@ -57,6 +57,8 @@ class MeasurementA:
     def from_direction(cls, e) -> "MeasurementA":
         """Qubit measurement along a Bloch direction: (1 +- e.sigma)/2."""
         e = np.asarray(e, dtype=float)
+        if e.shape != (3,):
+            raise DimensionError(f"direction must be a 3-vector, got shape {e.shape}")
         norm = np.linalg.norm(e)
         if not 0.0 < norm < np.inf:
             raise ValidationError(f"direction must be finite and nonzero, got {e.tolist()}")

