@@ -24,6 +24,7 @@ from .correlation import (
 from .dqc1 import (
     MAX_REGISTER_QUBITS,
     Dqc1Instance,
+    _check_alpha,
     dqc1_classicality_check,
     dqc1_sample_trace,
 )
@@ -108,8 +109,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_dqc1(args) -> int:
-    if args.alpha == 0.0:
-        raise ValidationError("alpha must be nonzero; a fully mixed control carries no signal")
+    _check_alpha(args.alpha)  # before U is loaded or drawn
     if args.unitary is not None:
         u = fileio.load_unitary(args.unitary)
         n = int(np.log2(u.shape[0]))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import HermitianBasis, gell_mann_basis
 from .errors import DimensionError, ValidationError
-from .linalg import DensityMatrix, _check_tolerances
+from .linalg import DensityMatrix, _check_tolerances, a_side_blocks, a_side_sum
 
 RANK_ATOL = 1e-10
 RANK_RTOL = 1e-9
@@ -67,14 +67,9 @@ class PartialRowsVerdict:
     independent_count: int
 
 
-def _half_contract(rho: DensityMatrix, ops_a: np.ndarray) -> np.ndarray:
-    """Tr_A[(A_n x 1) rho] for every n, as [n, b, b'] = sum_{a a'} A_n[a', a] rho[a, b, a', b']."""
-    return np.einsum("abcd,nca->nbd", rho.blocks(), ops_a)
-
-
 def _expand(rho: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
     """Real coefficients r_nm = Tr[rho (A_n x B_m)] over two stacks of Hermitian operators."""
-    half = _half_contract(rho, ops_a)
+    half = a_side_blocks(rho, ops_a)
     # The sum over (b', b) is one BLAS product of the flattened half[n, b', b] and B_m[b', b].
     n_a, n_b = len(ops_a), len(ops_b)
     return (half.transpose(0, 2, 1).reshape(n_a, -1) @ ops_b.reshape(n_b, -1).T).real
@@ -82,9 +77,8 @@ def _expand(rho: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndar
 
 def _rebuild(r: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
     """The matrix sum_nm r_nm A_n x B_m; for orthonormal stacks the inverse of _expand."""
-    t = np.einsum("nm,nac,mbd->abcd", r, ops_a, ops_b)
-    d = ops_a.shape[1] * ops_b.shape[1]
-    return t.reshape(d, d)
+    n_b, d_b = len(ops_b), ops_b.shape[1]
+    return a_side_sum(ops_a, (r @ ops_b.reshape(n_b, -1)).reshape(-1, d_b, d_b))
 
 
 def _rank_cutoff(c: np.ndarray, atol: float, rtol: float) -> float:

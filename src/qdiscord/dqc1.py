@@ -35,6 +35,11 @@ def _check_unitary(u: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     return u
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:  # NaN fails too
+        raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class Dqc1Instance:
     """Register size n, control purity alpha in (0, 1], and the n-qubit unitary."""
@@ -46,10 +51,7 @@ class Dqc1Instance:
     def __post_init__(self):
         if self.n < 1 or self.n > MAX_REGISTER_QUBITS:
             raise DimensionError(f"register size must be 1..{MAX_REGISTER_QUBITS}, got {self.n}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValidationError(
-                f"alpha must lie in (0, 1]; alpha = {self.alpha} gives no signal"
-            )
+        _check_alpha(self.alpha)
         u = _check_unitary(self.unitary)
         if u.shape[0] != 2**self.n:
             raise DimensionError(f"unitary dim {u.shape[0]} does not match 2^{self.n}")
@@ -101,16 +103,16 @@ def dqc1_output_state(inst: Dqc1Instance) -> DensityMatrix:
 
 
 def dqc1_exact_readout(state: DensityMatrix, alpha: float) -> complex:
-    """Normalized trace (⟨sigma_1 x 1⟩ + i ⟨sigma_2 x 1⟩) / alpha of the control."""
+    """Normalized trace (⟨sigma_1 x 1⟩ + i ⟨sigma_2 x 1⟩) / alpha of the control.
+
+    Reads the block rho[0, :, 1, :] as a view, not through ``linalg.a_side_blocks``,
+    whose realignment would copy the 2^(n+1) state (16 MB at n = 9).
+    """
     if state.dim_a != 2:
         raise DimensionError(f"control subsystem must be a qubit, got d_A = {state.dim_a}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
-    t = state.blocks()
-    z01 = np.trace(t[0, :, 1, :])
-    m1 = 2.0 * z01.real
-    m2 = -2.0 * z01.imag
-    return complex(m1, m2) / alpha
+    _check_alpha(alpha)
+    z01 = np.trace(state.blocks()[0, :, 1, :])
+    return complex(2.0 * z01.real, -2.0 * z01.imag) / alpha
 
 
 @dataclass(frozen=True)

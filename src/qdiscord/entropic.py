@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import conditional_entropy_scan, nelder_mead
-from .correlation import _half_contract
 from .errors import DimensionError, ValidationError
-from .linalg import _PAULI_STACK, OUTCOME_FLOOR, DensityMatrix, partial_trace, von_neumann_entropy
+from .linalg import (
+    _PAULI_STACK, OUTCOME_FLOOR, DensityMatrix, a_side_blocks, partial_trace, von_neumann_entropy,
+)
 
 GRID_POINTS = 2048
 REFINE_ITERS = 200
@@ -84,19 +85,12 @@ def conditional_ensemble(rho: DensityMatrix, m: MeasurementA) -> ConditionalEnse
         raise DimensionError(
             f"measurement dim {m.projectors.shape[1]} does not match d_A {rho.dim_a}"
         )
-    t = rho.blocks()
-    probs = []
-    states = []
-    for p in m.projectors:
-        # Tr_A[(P x 1) rho (P x 1)] = sum_{a a'} P[a', a] rho[a, :, a', :]
-        block = np.einsum("ca,abcd->bd", p, t)
-        pk = float(np.trace(block).real)
-        if pk < OUTCOME_FLOOR:
-            continue
-        state = block / pk
-        probs.append(pk)
-        states.append(0.5 * (state + state.conj().T))
-    return ConditionalEnsemble(probs=np.array(probs), states=states)
+    # Tr_A[(P x 1) rho (P x 1)] = Tr_A[(P x 1) rho] for a projector P
+    blocks = a_side_blocks(rho, m.projectors)
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    kept = probs >= OUTCOME_FLOOR
+    states = [0.5 * (s + s.conj().T) for s in blocks[kept] / probs[kept, None, None]]
+    return ConditionalEnsemble(probs=probs[kept], states=states)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -123,7 +117,7 @@ def _pauli_blocks(rho: DensityMatrix):
     For a direction e the unnormalized post-measurement blocks of B are
     (g0 +- (e1 gx + e2 gy + e3 gz))/2.
     """
-    return _half_contract(rho, _PAULI_STACK)
+    return a_side_blocks(rho, _PAULI_STACK)
 
 
 def _angles_to_dir(angles: np.ndarray) -> np.ndarray:
@@ -149,11 +143,10 @@ def _initial_simplices(x0: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassicalCorrelationResult:
-    """Optimized classical correlation with the winning measurement."""
+    """Optimized classical correlation with the winning measurement direction."""
 
     value: float
     best_direction: np.ndarray
-    best_measurement: MeasurementA
     min_conditional_entropy: float
     grid_points: int
     refine_iters: int
@@ -216,7 +209,6 @@ def classical_correlation_qa(
     return ClassicalCorrelationResult(
         value=h_b - best_val + 0.0,
         best_direction=best_dir,
-        best_measurement=MeasurementA.from_direction(best_dir),
         min_conditional_entropy=best_val,
         grid_points=grid_points,
         refine_iters=refine_iters,

@@ -137,6 +137,28 @@ def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
+def a_side_blocks(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
+    """X_n = Tr_A[(A_n x 1) rho] for a stack ops[n] of d_A x d_A operators, as [n, b, b'].
+
+    X_n = sum_{a a'} A_n[a', a] M[(a, a'), :] is one BLAS product over the realignment
+    M[(a, a'), (b, b')] = rho[a, b, a', b'] of Chen and Wu, Quantum Inf. Comput. 3, 193 (2003).
+    """
+    n, da, db = len(ops), rho.dim_a, rho.dim_b
+    m = rho.blocks().transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    return (ops.transpose(0, 2, 1).reshape(n, da * da) @ m).reshape(n, db, db)
+
+
+def a_side_sum(ops: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The matrix sum_n A_n x X_n for stacks ops[n] (d_A x d_A) and blocks[n] (d_B x d_B).
+
+    The inverse of :func:`a_side_blocks`' realignment: M[(a, a'), (b, b')] =
+    sum_n A_n[a, a'] X_n[b, b'] is one BLAS product, read back as rho[a, b, a', b'].
+    """
+    n, da, db = len(ops), ops.shape[1], blocks.shape[1]
+    m = ops.reshape(n, da * da).T @ blocks.reshape(n, db * db)
+    return m.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
 def swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
     """Exchange the roles of A and B."""
     t = rho.blocks().transpose(1, 0, 3, 2)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
 from .geometric import state_from_bloch, tetrahedron_contains
-from .linalg import DensityMatrix, tensor
+from .linalg import DensityMatrix, a_side_blocks, a_side_sum
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -66,13 +66,9 @@ def four_nonorthogonal_state() -> DensityMatrix:
     (|0><0| x |+><+| + |1><1| x |-><-| + |+><+| x |1><1| + |-><-| x |0><0|)/4;
     separable by construction yet carries non-zero discord.
     """
-    mat = (
-        tensor(projector(KET0), projector(KET_PLUS))
-        + tensor(projector(KET1), projector(KET_MINUS))
-        + tensor(projector(KET_PLUS), projector(KET1))
-        + tensor(projector(KET_MINUS), projector(KET0))
-    ) / 4.0
-    return DensityMatrix(mat, 2, 2)
+    ops_a = np.stack([projector(k) for k in (KET0, KET1, KET_PLUS, KET_MINUS)])
+    ops_b = np.stack([projector(k) for k in (KET_PLUS, KET_MINUS, KET1, KET0)])
+    return DensityMatrix(a_side_sum(ops_a, ops_b) / 4.0, 2, 2)
 
 
 def classical_quantum_state(p, kets, states) -> DensityMatrix:
@@ -94,11 +90,8 @@ def classical_quantum_state(p, kets, states) -> DensityMatrix:
     gram = np.array([[np.vdot(u, v) for v in kets] for u in kets])
     if np.abs(gram - np.eye(len(kets))).max() > 1e-10:
         raise ValidationError("kets are not orthonormal")
-    dim_b = mats[0].shape[0]
-    mat = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
-    for pk, ket, rho_k in zip(p, kets, mats):
-        mat += pk * tensor(projector(ket), rho_k)
-    return DensityMatrix(mat, dim_a, dim_b)
+    ops_a = np.stack([pk * projector(ket) for pk, ket in zip(p, kets)])
+    return DensityMatrix(a_side_sum(ops_a, np.stack(mats)), dim_a, mats[0].shape[0])
 
 
 def random_density_matrix(dim_a: int, dim_b: int, seed: int) -> DensityMatrix:
@@ -137,8 +130,5 @@ def measure_prepare_channel_a(rho: DensityMatrix, kets) -> DensityMatrix:
         raise ValidationError("need exactly two single-qubit kets")
     if any(abs(np.linalg.norm(k) - 1.0) > 1e-10 for k in kets):
         raise ValidationError("replacement kets must be normalized")
-    t = rho.blocks()
-    mat = np.zeros_like(rho.mat)
-    for k, ket in enumerate(kets):
-        mat = mat + tensor(projector(ket), t[k, :, k, :])
-    return DensityMatrix(mat, 2, rho.dim_b)
+    diagonal = a_side_blocks(rho, np.stack([projector(KET0), projector(KET1)]))
+    return DensityMatrix(a_side_sum(np.stack([projector(k) for k in kets]), diagonal), 2, rho.dim_b)

@@ -127,7 +127,7 @@ class TestOutputState:
             assert np.array_equal(rho.mat, mat / (2 * d))
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_pure_control_states_pass_without_eigendecomposition(self, n):
+    def test_pure_control_states_pass(self, n):
         inst = qd.Dqc1Instance(n=n, alpha=1.0, unitary=qd.random_unitary(2**n, n))
         rho = qd.dqc1_output_state(inst)
         w = np.linalg.eigvalsh(rho.mat)

@@ -260,6 +260,16 @@ class TestCliDqc1:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("alpha", ["2", "nan", "-0.5"])
+    def test_alpha_outside_range_exits_before_drawing_u(self, capsys, monkeypatch, alpha):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("alpha must be refused before U is drawn")
+
+        monkeypatch.setattr("qdiscord.cli.random_unitary", forbidden)
+        code, _, err = _run(capsys, ["dqc1", "--random-n", "11", "--alpha", alpha])
+        assert code == 2
+        assert "(0, 1]" in err
+
     def test_internal_inconsistency_exits_1(self, capsys, tmp_path, monkeypatch):
         def faulty(u):
             raise RuntimeError("internal inconsistency")

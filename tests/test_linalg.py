@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
+from qdiscord import linalg
 from qdiscord.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -142,6 +143,29 @@ class TestSwap:
         rho = qd.random_density_matrix(2, 3, 4)
         swapped = qd.swap_subsystems(rho)
         assert_allclose(qd.partial_trace(swapped, "A"), qd.partial_trace(rho, "B"), atol=1e-14)
+
+
+class TestRealignedPair:
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 16)], ids=lambda d: f"{d[0]}x{d[1]}"
+    )
+    def test_matches_kron_and_explicit_partial_trace(self, dims):
+        da, db = dims
+        rho = qd.random_density_matrix(da, db, seed=da * 100 + db)
+        rng = np.random.default_rng(db)
+        # non-Hermitian stacks: mixing up A_n and its transpose changes the result
+        ops = rng.standard_normal((5, da, da)) + 1j * rng.standard_normal((5, da, da))
+        blocks = rng.standard_normal((5, db, db)) + 1j * rng.standard_normal((5, db, db))
+
+        for op, x in zip(ops, linalg.a_side_blocks(rho, ops)):
+            lifted = (np.kron(op, np.eye(db)) @ rho.mat).reshape(da, db, da, db)
+            assert_allclose(x, sum(lifted[a, :, a, :] for a in range(da)), atol=1e-12)
+        expected = sum(np.kron(op, x) for op, x in zip(ops, blocks))
+        assert_allclose(linalg.a_side_sum(ops, blocks), expected, atol=1e-12)
+
+        basis = qd.gell_mann_basis(da).ops
+        roundtrip = linalg.a_side_sum(basis, linalg.a_side_blocks(rho, basis))
+        assert_allclose(roundtrip, rho.mat, atol=1e-14)
 
 
 class TestEigHermitian:
