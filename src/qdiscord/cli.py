@@ -81,11 +81,10 @@ def cmd_analyze(args) -> int:
         "mutual_information": info,
         "timings": timings,
     }
-    if (rho.dim_a, rho.dim_b) == (2, 2):
+    if rho.dim_a == 2:
         t0 = time.perf_counter()
         doc["geometric_discord"] = geometric_discord_2q(rho).value
         timings["geometric_s"] = time.perf_counter() - t0
-    if rho.dim_a == 2:
         t0 = time.perf_counter()
         doc["entropic_discord"] = _entropic_section(rho, info, args.ent_grid, args.ent_refine)
         timings["entropic_s"] = time.perf_counter() - t0
@@ -255,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("geometric", help="closed-form geometric discord of a two-qubit state")
+    p = sub.add_parser("geometric", help="closed-form geometric discord of a state with qubit A side")
     p.add_argument("state", help="state file (JSON)")
-    p.add_argument("--oracle", action="store_true", help="also run the minimization oracle")
+    p.add_argument("--oracle", action="store_true", help="also run the minimization oracle (2x2 only)")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_geometric)

@@ -1,10 +1,10 @@
-"""Two-qubit Bloch decomposition and geometric discord.
+"""Geometric discord of states with a qubit A side, and the 2x2 Bloch picture.
 
-The geometric discord of a two-qubit state is the squared Hilbert-Schmidt
-distance to the nearest zero-discord state.  It has a closed form,
-(|x|^2 + |T|^2 - k_max)/4 with k_max the top eigenvalue of x x^T + T T^T,
-which :func:`geometric_discord_oracle` cross-checks by direct minimization
-over the zero-discord family.
+The geometric discord is the squared Hilbert-Schmidt distance to the nearest
+zero-discord state.  Its closed form, (Tr K - k_max)/4 with K_ij = 2 Tr(X_i X_j)
+over the A-side blocks X_i = Tr_A[(sigma_i x 1) rho], holds for every 2 x d_B
+state; at 2x2, :func:`geometric_discord_oracle` cross-checks it by direct
+minimization over the zero-discord family in its Bloch parametrization.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import _accel
 from .correlation import _expand, _rebuild
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
 from .linalg import _PAULI_STACK, PSD_ATOL, DensityMatrix, _as_matrix, _check_tolerances
+from .linalg import a_side_blocks, a_side_sum
 
 # Bell-diagonal tetrahedron vertices; 1 + t.v >= 0 for each vertex v is
 # exactly eigenvalue positivity of (1x1 + sum t_i sigma_i x sigma_i)/4.
@@ -150,27 +151,25 @@ class GeometricResult:
 
 
 def geometric_discord_2q(rho: DensityMatrix) -> GeometricResult:
-    """Closed-form geometric discord of a two-qubit state.
+    """Closed-form geometric discord (Tr K - k_max)/4 of a state with a qubit A side.
 
-    The minimizing direction e_star is the top eigenvector of
-    K = x x^T + T T^T, sign-canonicalized (first nonzero component positive)
-    so degenerate spectra still give a deterministic output.
+    K_ij = 2 Tr(X_i X_j) over the blocks X_i = Tr_A[(sigma_i x 1) rho] (x x^T + T T^T
+    at 2x2).  Of the zero-discord states classical along e, rho dephased along e is
+    nearest (Luo and Fu, PRA 82, 034302 (2010)), at (Tr K - e^T K e)/4.  So e_star is
+    K's top eigenvector, its first nonzero component made positive for a deterministic output.
     """
-    b = bloch_triple(rho)
-    k = np.outer(b.x, b.x) + b.corr @ b.corr.T
+    if rho.dim_a != 2:
+        raise DimensionError(f"need a qubit A side, got dims ({rho.dim_a}, {rho.dim_b})")
+    x = a_side_blocks(rho, _PAULI_STACK)
+    flat = x[1:].reshape(3, -1)
+    k = 2.0 * (flat @ flat.conj().T).real  # X_j is Hermitian: Tr(X_i X_j) = <X_i, X_j>
     w, v = np.linalg.eigh(k)
     k_max = float(w[-1])
-    e_star = v[:, -1].copy()
-    for comp in e_star:
-        if abs(comp) > 1e-12:
-            if comp < 0:
-                e_star = -e_star
-            break
-    value = 0.25 * (float(b.x @ b.x) + float(np.sum(b.corr**2)) - k_max)
+    e_star = v[:, -1] * np.sign(v[np.abs(v[:, -1]) > 1e-12, -1][0])
+    value = 0.25 * (float(np.trace(k)) - k_max)
     # rho measured along e_star: PSD by construction, so no clamping is needed.
-    chi_star = DensityMatrix(
-        state_from_bloch(float(b.x @ e_star) * e_star, b.y, np.outer(e_star, b.corr.T @ e_star)), 2, 2
-    )
+    blocks = np.concatenate([x[:1], e_star[:, None, None] * np.tensordot(e_star, x[1:], 1)])
+    chi_star = DensityMatrix(0.5 * a_side_sum(_PAULI_STACK, blocks), 2, rho.dim_b)
     return GeometricResult(value=value, k_max=k_max, e_star=e_star, chi_star=chi_star)
 
 

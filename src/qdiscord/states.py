@@ -82,6 +82,8 @@ def classical_quantum_state(p, kets, states) -> DensityMatrix:
     mats = [np.asarray(getattr(s, "mat", s), dtype=complex) for s in states]
     if len(kets) != len(p) or len(mats) != len(p):
         raise ValidationError("p, kets and states must have equal lengths")
+    if any(m.ndim != 2 or m.shape != mats[0].shape[:1] * 2 for m in mats):
+        raise DimensionError(f"B states must be square and of one size, got {[m.shape for m in mats]}")
     if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-10:
         raise ValidationError(f"probabilities must be nonnegative and sum to 1, got {p.tolist()}")
     dim_a = kets[0].shape[0]

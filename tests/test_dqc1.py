@@ -372,3 +372,23 @@ class TestClassicality:
             from_u = qd.dqc1_classicality_check(u).zero_discord
             from_state = qd.zero_discord_test(qd.dqc1_output_state(inst)).is_zero_discord
             assert from_u == from_state
+
+
+class TestGeometricDiscord:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_output_state_value(self, n):
+        """D_G = alpha^2 (1 - |Tr U^2|/2^n)/2^(n+2): zero exactly when U is a phased
+        involution, and of order 2^-(n+2) for a Haar unitary."""
+        # Haar unitaries, phased Pauli strings, phased V diag(+-1) V†
+        for k, u in enumerate(_classicality_corpus(n)[:9]):
+            classical = qd.dqc1_classicality_check(u).zero_discord
+            trace_u2 = abs(np.sum(u * u.T))
+            for alpha in (1.0, 0.8, 0.3):
+                inst = qd.Dqc1Instance(n=n, alpha=alpha, unitary=u)
+                value = qd.geometric_discord_2q(qd.dqc1_output_state(inst)).value
+                scale = alpha**2 / 2 ** (n + 2)
+                assert value == pytest.approx(scale * (1.0 - trace_u2 / 2**n), abs=1e-15)
+                assert (value <= 1e-15) == classical
+                assert value <= scale + 1e-15
+                if k < 3 and n >= 3:  # Haar: |Tr U^2| is O(1), far below 2^(n-1)
+                    assert value >= scale / 2

@@ -109,15 +109,22 @@ class TestCliAnalyze:
         assert doc["geometric_discord"] <= 1e-6
         assert doc["entropic_discord"]["value"] <= 1e-6
 
-    def test_2x3_state_omits_geometric(self, capsys, tmp_path):
+    def test_qubit_a_side_reports_geometric(self, capsys, tmp_path):
         path = tmp_path / "s23.json"
         fileio.save_state(qd.random_density_matrix(2, 3, 4), path)
         code, out, _ = _run(capsys, ["analyze", str(path)])
         doc = json.loads(out)
         assert code == 0
-        assert "geometric_discord" not in doc
+        assert doc["geometric_discord"] == qd.geometric_discord_2q(fileio.load_state(path)).value
         assert "is_zero_discord" in doc
         assert "entropic_discord" in doc
+        path = tmp_path / "s32.json"
+        fileio.save_state(qd.random_density_matrix(3, 2, 4), path)
+        code, out, _ = _run(capsys, ["analyze", str(path)])
+        doc = json.loads(out)
+        assert code == 0
+        assert "geometric_discord" not in doc
+        assert "is_zero_discord" in doc
 
     def test_reports_are_stable(self, capsys, tmp_path):
         path = tmp_path / "bell.json"
@@ -336,6 +343,18 @@ class TestCliGeometricEntropic:
         assert code == 0
         assert doc["value"] == pytest.approx(0.5, abs=1e-12)
         assert doc["oracle"]["value"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_geometric_on_qubit_qutrit(self, capsys, tmp_path):
+        path = tmp_path / "s23.json"
+        fileio.save_state(qd.random_density_matrix(2, 3, 0), path)
+        code, out, _ = _run(capsys, ["geometric", str(path)])
+        assert code == 0
+        assert json.loads(out)["value"] == qd.geometric_discord_2q(fileio.load_state(path)).value
+        # the 9-parameter oracle searches the 2x2 zero-discord family only
+        code, out, err = _run(capsys, ["geometric", str(path), "--oracle"])
+        assert code == 2
+        assert out == ""
+        assert "need a 2x2 bipartite state, got dims (2, 3)" in err
 
     def test_entropic(self, capsys, tmp_path, classical_bits):
         path = tmp_path / "cq.json"

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
+from qdiscord._accel import nelder_mead
+from qdiscord.entropic import _angles_to_dir
 
 
 def _random_tetrahedron_point(rng):
@@ -192,6 +194,56 @@ class TestClosedForm:
         assert np.array_equal(a.e_star, b.e_star)
         first_nonzero = a.e_star[np.abs(a.e_star) > 1e-12][0]
         assert first_nonzero > 0
+
+
+def _dephased(rho, e):
+    """rho measured along e on A: sum over +-e of (P x 1) rho (P x 1), built with np.kron."""
+    e_sigma = np.tensordot(e, np.stack(qd.linalg.PAULIS), 1)
+    out = np.zeros_like(rho.mat)
+    for sign in (1.0, -1.0):
+        proj = np.kron((np.eye(2) + sign * e_sigma) / 2.0, np.eye(rho.dim_b))
+        out += proj @ rho.mat @ proj
+    return out
+
+
+def _dephasing_scan(rho):
+    """min over unit e of ||rho - rho dephased along e||^2: Fibonacci grid, then nelder_mead."""
+
+    def distance_sq(dirs):
+        return np.array([np.linalg.norm(rho.mat - _dephased(rho, e)) ** 2 for e in dirs])
+
+    grid = qd.fibonacci_sphere(400)
+    e0 = grid[np.argmin(distance_sq(grid))]
+    start = np.array([np.arccos(e0[2]), np.arctan2(e0[1], e0[0])])
+    sim = (start + np.vstack([np.zeros(2), 0.05 * np.eye(2)]))[None]
+    best, _ = nelder_mead(lambda a: distance_sq(_angles_to_dir(a)), sim, 2000, 1e-16, 1e-10)
+    return float(best[0])
+
+
+class TestQubitQudit:
+    @pytest.mark.parametrize("dim_b", [3, 4, 5])
+    def test_matches_dephasing_scan(self, dim_b):
+        """The closed form at 2 x d_B against a scan of ||rho - Pi_e(rho)||^2 over e.
+
+        The scan's minimum is the geometric discord only through the lemma of Luo
+        and Fu (PRA 82, 034302 (2010)): for a fixed measurement along e, the nearest
+        zero-discord state is rho dephased along e.  So this oracle is less
+        independent than the 2x2 oracle, which searches the whole zero-discord family.
+        """
+        for seed in range(5):
+            rho = qd.random_density_matrix(2, dim_b, 50 * dim_b + seed)
+            res = qd.geometric_discord_2q(rho)
+            assert res.value == pytest.approx(_dephasing_scan(rho), abs=1e-12)
+            assert qd.hs_distance_sq(rho, res.chi_star) == pytest.approx(res.value, abs=1e-15)
+            assert_allclose(res.chi_star.mat, _dephased(rho, res.e_star), rtol=0, atol=1e-15)
+            assert qd.zero_discord_test(res.chi_star).is_zero_discord
+            w = np.kron(np.eye(2), qd.random_unitary(dim_b, seed))
+            rotated = qd.DensityMatrix(w @ rho.mat @ w.conj().T, 2, dim_b)
+            assert qd.geometric_discord_2q(rotated).value == pytest.approx(res.value, abs=1e-15)
+
+    def test_rejects_qutrit_a_side(self):
+        with pytest.raises(qd.DimensionError, match="qubit A side"):
+            qd.geometric_discord_2q(qd.random_density_matrix(3, 2, 0))
 
 
 class TestBellDiagonalFormula:

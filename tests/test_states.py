@@ -155,6 +155,19 @@ class TestClassicalQuantum:
         with pytest.raises(qd.ValidationError):
             qd.classical_quantum_state([0.5, 0.5], [np.array([1, 0]), plus], [ID2 / 2, ID2 / 2])
 
+    @pytest.mark.parametrize(
+        "p, states, shapes",
+        [
+            ([0.5, 0.5], [np.eye(2) / 2, np.eye(3) / 3], r"\[\(2, 2\), \(3, 3\)\]"),
+            ([1.0], [np.eye(2, 3) / 2], r"\[\(2, 3\)\]"),
+        ],
+        ids=["sizes-differ", "not-square"],
+    )
+    def test_rejects_bad_b_shapes(self, p, states, shapes):
+        kets = [np.array([1, 0]), np.array([0, 1])][: len(p)]
+        with pytest.raises(qd.DimensionError, match=shapes):
+            qd.classical_quantum_state(p, kets, states)
+
 
 class TestRandomGenerators:
     def test_density_matrix_valid_and_reproducible(self):
