@@ -166,9 +166,12 @@ def dqc1_classicality_check(u, tol: float = CLASSICALITY_RTOL) -> Dqc1Classicali
     product is formed.  For unitary U this is U^2 proportional to 1, and to
     first order the defect is ||U^2 - (Tr U^2/d) 1||_F / ||U^2||_F.  The
     returned phase is phi modulo pi.
+
+    ``u`` is a raw unitary, checked for unitarity here, or a ``Dqc1Instance``,
+    whose unitary passed that check when the instance was built.
     """
     _check_tolerances(tol=tol)
-    u = _check_unitary(u)
+    u = u.unitary if isinstance(u, Dqc1Instance) else _check_unitary(u)
     phase = float(np.angle(np.sum(u * u.T)) / 2.0)
     a = np.exp(-1j * phase) * u
     if np.linalg.norm(a - a.conj().T) > tol * np.linalg.norm(u):

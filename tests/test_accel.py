@@ -202,6 +202,42 @@ def test_settle_survives_flat_steps_before_any_freeze():
     assert np.array_equal(x2, x0)
 
 
+@pytest.mark.parametrize("restarts, seed", [(16, 5), (16, 30), (8, 48), (8, 82), (8, 86)])
+def test_oracle_batches_stop_before_maxiter(restarts, seed):
+    # criterion 03's states that once ran into maxiter = 1500 at these restart
+    # counts; a batch that stops on its own gives the same answer with more room
+    sim = _oracle_simplices(restarts, 0)
+    runs = []
+    for maxiter in (1500, 3000):
+        fun, calls = _counted(_oracle_objective(seed))
+        f, x = _accel.nelder_mead(fun, sim, maxiter, 1e-13, 1e-8, settle=2)
+        runs.append((f, x, len(calls)))
+    (f0, x0, calls0), (f1, x1, calls1) = runs
+    assert calls0 == calls1 < 1500
+    assert np.array_equal(f0, f1) and np.array_equal(x0, x1)
+
+
+def test_simplex_converges_on_a_9d_quadratic():
+    # the oracle's dimension, without its objective: a convex quadratic with
+    # condition number 100 and a known minimizer
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    hess = (q * np.logspace(0, 2, 9)) @ q.T
+    xmin = rng.standard_normal(9)
+
+    def quadratic(x):
+        d = x - xmin
+        return np.einsum("mi,ij,mj->m", d, hess, d)
+
+    fun, calls = _counted(quadratic)
+    starts = 3.0 * rng.standard_normal((4, 9))
+    sim = starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
+    f, x = _accel.nelder_mead(fun, sim, 3000, 1e-13, 1e-8)
+    assert len(calls) - 1 < 3000  # every simplex froze before maxiter
+    assert np.abs(x - xmin).max() <= 1e-6
+    assert f.max() <= 1e-12
+
+
 def test_entropic_refinement_matches_scipy():
     optimize = pytest.importorskip("scipy.optimize")
     for rho in (

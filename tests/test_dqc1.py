@@ -360,6 +360,12 @@ class TestClassicality:
         # Haar: discordant; Pauli strings and V diag(+-1) V†: classical; then 0.3 to 3 x tol
         assert verdicts == [False] * 3 + [True] * 6 + [True] * 3 + [False] * 3
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_instance_matches_raw_unitary(self, n):
+        for u in _classicality_corpus(n):
+            inst = qd.Dqc1Instance(n=n, alpha=0.5, unitary=u)
+            assert qd.dqc1_classicality_check(inst) == qd.dqc1_classicality_check(u)
+
     def test_matches_state_verdict(self):
         cases = []
         for seed in range(6):

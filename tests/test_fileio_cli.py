@@ -262,6 +262,19 @@ class TestCliDqc1:
         assert abs(complex(*doc["exact_tau"]) - tau) <= 1e-15
         assert abs(complex(*doc["tau_hat"]) - tau) <= 4 * doc["std_error"]
 
+    def test_checks_unitarity_once(self, capsys, monkeypatch):
+        calls = []
+        check = qd.dqc1._check_unitary
+
+        def counted(u, *args, **kwargs):
+            calls.append(np.shape(u))
+            return check(u, *args, **kwargs)
+
+        monkeypatch.setattr(qd.dqc1, "_check_unitary", counted)
+        code, _, err = _run(capsys, ["dqc1", "--random-n", "3"])
+        assert code == 0, err
+        assert calls == [(8, 8)]  # in Dqc1Instance; the classicality check reuses it
+
     def test_alpha_zero_is_usage_error(self, capsys):
         code, _, err = _run(capsys, ["dqc1", "--random-n", "2", "--alpha", "0"])
         assert code == 2
@@ -351,6 +364,25 @@ class TestCliGeometricEntropic:
         assert code == 0
         assert json.loads(out)["value"] == qd.geometric_discord_2q(fileio.load_state(path)).value
         # the 9-parameter oracle searches the 2x2 zero-discord family only
+        code, out, err = _run(capsys, ["geometric", str(path), "--oracle"])
+        assert code == 2
+        assert out == ""
+        assert "need a 2x2 bipartite state, got dims (2, 3)" in err
+
+    def test_oracle_refuses_before_the_closed_form(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "bell.json"
+        fileio.save_state(qd.bell_state(0), path)
+        code, out, _ = _run(capsys, ["geometric", str(path), "--oracle", "--restarts", "4"])
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["e_star", "k_max", "oracle", "value"]  # printed sorted
+        assert list(doc["oracle"]) == ["restarts", "seed", "value"]
+
+        def forbidden(rho):
+            raise AssertionError("the closed form must not run before the oracle refuses")
+
+        monkeypatch.setattr("qdiscord.cli.geometric_discord_2q", forbidden)
+        fileio.save_state(qd.random_density_matrix(2, 3, 0), path)
         code, out, err = _run(capsys, ["geometric", str(path), "--oracle"])
         assert code == 2
         assert out == ""
