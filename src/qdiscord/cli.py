@@ -123,6 +123,9 @@ def cmd_dqc1(args) -> int:
     exact = inst.normalized_trace()
     estimate = dqc1_sample_trace(inst, args.samples, args.seed)
     classical = dqc1_classicality_check(inst)
+    # D_G of the output state from its K matrix, with no state built.
+    # |Tr U^2| <= 2^n for a unitary; a U within UNITARY_ATOL of one can exceed it.
+    geometric = max(0.0, args.alpha**2 * (1.0 - abs(classical.trace_u2) / 2**n) / 2 ** (n + 2))
     _print_doc(
         {
             "n": n,
@@ -136,6 +139,7 @@ def cmd_dqc1(args) -> int:
                 "zero_discord": classical.zero_discord,
                 "phase": classical.phase,
             },
+            "geometric_discord": geometric,
         }
     )
     return 0

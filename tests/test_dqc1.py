@@ -17,12 +17,30 @@ def _pauli_string(indices):
 BOUNDARY_DEFECT = 0.99e-9
 
 
+def _scaled_unitary(v, w, excess):
+    """V diag(sqrt(1 + excess), 1, ...) W: ||U†U - 1||_F is excess, up to rounding."""
+    s = np.ones(v.shape[0])
+    s[0] = np.sqrt(1.0 + excess)
+    return (v * s) @ w
+
+
 def _boundary_unitary(n, seed):
     """V diag(sqrt(1 + BOUNDARY_DEFECT), 1, ...) W for two seeded Haar unitaries V and W."""
-    d = 2**n
-    s = np.ones(d)
-    s[0] = np.sqrt(1.0 + BOUNDARY_DEFECT)
-    return (qd.random_unitary(d, seed) * s) @ qd.random_unitary(d, seed + 1)
+    return _scaled_unitary(
+        qd.random_unitary(2**n, seed), qd.random_unitary(2**n, seed + 1), BOUNDARY_DEFECT
+    )
+
+
+def _unitarity_defect(u):
+    """||U†U - 1||_F through the complex product, the check's reference."""
+    return np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
+
+
+def _written_out_classicality(u):
+    """||A - A†||_F/||U||_F and phi, from Tr U^2 = sum(U * U.T) and A = exp(-i phi) U."""
+    phase = np.angle(np.sum(u * u.T)) / 2.0
+    a = np.exp(-1j * phase) * u
+    return np.linalg.norm(a - a.conj().T) / np.linalg.norm(u), phase
 
 
 def _u2_defect(u):
@@ -85,6 +103,31 @@ class TestInstance:
         with pytest.raises(qd.DimensionError):
             qd.Dqc1Instance(n=2, alpha=1.0, unitary=np.eye(2))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_unitarity_decisions_match_the_complex_product(self, n):
+        """The real-split defect decides as ||U†U - 1||_F does, and lies within 1e-13 of it."""
+        v, w = qd.random_unitary(2**n, 300 + n), qd.random_unitary(2**n, 400 + n)
+        atol = qd.dqc1.UNITARY_ATOL
+        accepted = []
+        for factor in (0.0, 0.5, 0.99, 1.01, 2.0):
+            u = _scaled_unitary(v, w, factor * atol)
+            ref = _unitarity_defect(u)
+            accepted.append(bool(ref <= atol))
+            for check in (
+                qd.dqc1._check_unitary,
+                lambda u: qd.Dqc1Instance(n=n, alpha=0.5, unitary=u),
+            ):
+                if ref <= atol:
+                    check(u)
+                else:
+                    with pytest.raises(qd.NotUnitaryError, match="unitarity defect"):
+                        check(u)
+            # the defect itself: accepted just above the reference, refused just below it
+            qd.dqc1._check_unitary(u, atol=ref + 1e-13)
+            with pytest.raises(qd.NotUnitaryError):
+                qd.dqc1._check_unitary(u, atol=ref - 1e-13)
+        assert accepted == [True, True, True, False, False]
+
 
 class TestOutputState:
     def test_identity_unitary_polarizes_sigma_x(self):
@@ -115,8 +158,9 @@ class TestOutputState:
 
 
     def test_matches_out_of_place_construction_bitwise(self):
-        for n, alpha in ((1, 1.0), (3, 0.37), (5, 0.8)):
+        for n in range(1, 10):
             d = 2**n
+            alpha = (0.8, 1.0, 0.37)[n % 3]
             u = qd.random_unitary(d, n)
             rho = qd.dqc1_output_state(qd.Dqc1Instance(n=n, alpha=alpha, unitary=u))
             mat = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -190,7 +234,7 @@ class TestCertifiedPositivity:
 
     def test_boundary_defect_at_one_qubit_fails_validation(self):
         u = _boundary_unitary(1, 7)
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(2))
+        defect = _unitarity_defect(u)
         assert 0.98e-9 <= defect <= qd.dqc1.UNITARY_ATOL
         inst = qd.Dqc1Instance(n=1, alpha=1.0, unitary=u)
         # lambda_min = (1 - sqrt(1 + 0.99e-9))/4 = -1.24e-10, below -PSD_ATOL
@@ -359,6 +403,38 @@ class TestClassicality:
                 assert got.phase is None
         # Haar: discordant; Pauli strings and V diag(+-1) V†: classical; then 0.3 to 3 x tol
         assert verdicts == [False] * 3 + [True] * 6 + [True] * 3 + [False] * 3
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_written_out_trace_rule(self, n):
+        for u in _classicality_corpus(n):
+            got = qd.dqc1_classicality_check(u)
+            defect, phase = _written_out_classicality(u)
+            zero = bool(defect <= qd.dqc1.CLASSICALITY_RTOL)
+            assert got.zero_discord == zero
+            assert abs(got.trace_u2 - np.sum(u * u.T)) <= 1e-13 * 2**n
+            if zero:
+                assert abs(got.phase - phase) <= 1e-14
+            else:
+                assert got.phase is None
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_involution_perturbed_just_past_tol(self, n):
+        """A exp(i eps H) with ||A - A†||_F at 0.999 and 1.001 times tol ||U||_F."""
+        d = 2**n
+        rng = np.random.default_rng(500 + n)
+        v = qd.random_unitary(d, 500 + n)
+        a = np.exp(1.3j) * (v * rng.choice([-1.0, 1.0], d)) @ v.conj().T
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (g + g.conj().T) / 2.0
+        tol = qd.dqc1.CLASSICALITY_RTOL
+        slope = _written_out_classicality(a @ _exp_ih(h, 1e-6))[0] / 1e-6
+        for factor, expected in ((0.999, True), (1.001, False)):
+            u = a @ _exp_ih(h, factor * tol / slope)
+            got = qd.dqc1_classicality_check(u)
+            defect, phase = _written_out_classicality(u)
+            assert got.zero_discord == bool(defect <= tol) == expected
+            if expected:
+                assert abs(got.phase - phase) <= 1e-14
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_instance_matches_raw_unitary(self, n):

@@ -6,6 +6,7 @@ import pytest
 import qdiscord as qd
 from qdiscord import fileio
 from qdiscord.cli import main
+from qdiscord.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def _run(capsys, argv):
@@ -248,6 +249,45 @@ class TestCliDqc1:
         assert code == 0
         assert doc["classicality"]["zero_discord"] is True
         assert doc["exact_tau"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_geometric_discord_matches_the_output_state(self, capsys, tmp_path, n, alpha):
+        """alpha^2 (1 - |Tr U^2|/2^n)/2^(n+2) against the closed form on the built state."""
+        rng = np.random.default_rng(n)
+        phased_pauli = np.exp(1j * rng.uniform(-np.pi, np.pi)) * np.eye(1)
+        for k in rng.integers(1, 4, n):
+            phased_pauli = np.kron(phased_pauli, [np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z][k])
+        path = tmp_path / "pauli.json"
+        fileio.save_unitary(phased_pauli, path)
+        runs = [
+            (["--random-n", str(n), "--seed", "4"], qd.random_unitary(2**n, 4)),
+            (["--unitary", str(path)], fileio.load_unitary(path)),
+        ]
+        docs = []
+        for source, u in runs:
+            code, out, err = _run(capsys, ["dqc1", *source, "--alpha", str(alpha)])
+            assert code == 0, err
+            docs.append(json.loads(out))
+            inst = qd.Dqc1Instance(n=n, alpha=alpha, unitary=u)
+            expected = qd.geometric_discord_2q(qd.dqc1_output_state(inst)).value
+            assert abs(docs[-1]["geometric_discord"] - expected) <= 1e-15
+        haar, pauli = docs
+        assert haar["classicality"]["zero_discord"] is False
+        assert haar["geometric_discord"] > 1e-15
+        assert pauli["classicality"]["zero_discord"] is True
+        assert abs(pauli["geometric_discord"]) <= 1e-15
+
+    def test_geometric_discord_is_not_negative_at_the_unitarity_tolerance(self, capsys, tmp_path):
+        # c 1 with ||(c^2 - 1) 1||_F = 0.99e-9 passes the check, and |Tr U^2| = 2c^2 > 2
+        u = np.sqrt(1.0 + 0.7e-9) * np.eye(2)
+        path = tmp_path / "scaled.json"
+        fileio.save_unitary(u, path)
+        code, out, err = _run(capsys, ["dqc1", "--unitary", str(path), "--alpha", "0.5"])
+        assert code == 0, err
+        inst = qd.Dqc1Instance(n=1, alpha=0.5, unitary=u)
+        assert qd.geometric_discord_2q(qd.dqc1_output_state(inst)).value == 0.0
+        assert json.loads(out)["geometric_discord"] == 0.0
 
     def test_builds_no_output_state(self, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
