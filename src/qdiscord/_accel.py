@@ -145,9 +145,10 @@ def chi_distance_sq(z, xv, yv, tmat):
 def conditional_entropy_scan(g0, gx, gy, gz, dirs):
     """Average conditional entropy of B after measuring A along each direction.
 
-    g0, gx, gy, gz are the Pauli components of the state's B-side blocks;
-    dirs is an (n, 3) array of unit vectors.  Returns an (n,) array of
-    sum_k p_k H(rho_B|k) values in bits.
+    g0, gx, gy, gz are the B-side blocks Tr_A[(s x 1) rho] for s = 1, sigma_x,
+    sigma_y, sigma_z; dirs is an (n, 3) array of unit vectors.  Measuring A along
+    e leaves B in the unnormalized blocks (g0 +- (e1 gx + e2 gy + e3 gz))/2.
+    Returns an (n,) array of sum_k p_k H(rho_B|k) values in bits.
     """
     d = g0.shape[0]
     g = (dirs @ np.stack([gx, gy, gz]).reshape(3, d * d)).reshape(-1, d, d)

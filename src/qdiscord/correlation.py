@@ -180,10 +180,20 @@ def zero_discord_test(
     )
 
 
-def _coerce_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _coerce_rows(rows, dim_a) -> tuple[np.ndarray, np.ndarray]:
+    if not (_is_integer(dim_a) and dim_a >= 1):
+        raise DimensionError(f"dim_a must be an integer >= 1, got {dim_a!r}")
     indices = []
     vectors = []
     for a_index, values in rows:
+        if not (_is_integer(a_index) and 0 <= a_index < dim_a**2):
+            raise ValidationError(
+                f"a_index must be an integer in 0..{dim_a**2 - 1}, got {a_index!r}"
+            )
         indices.append(int(a_index))
         vectors.append(np.asarray(values, dtype=float))
     if len(set(indices)) != len(indices):
@@ -208,10 +218,12 @@ def partial_rows_witness(
     """Discord witness from a subset of correlation-matrix rows.
 
     ``rows`` is an iterable of (a_index, vector) pairs.  Finding d_A + 1
-    linearly independent rows proves the state has non-zero discord.
+    linearly independent rows proves the state has non-zero discord.  ``dim_a``
+    must be an integer >= 1 (DimensionError) and each a_index an integer in
+    0..dim_a^2 - 1 (ValidationError).
     """
     _check_tolerances(atol=atol, rtol=rtol)
-    _, stacked = _coerce_rows(rows)
+    _, stacked = _coerce_rows(rows, dim_a)
     c = np.linalg.svd(stacked, compute_uv=False)
     count = int(np.sum(c > _rank_cutoff(c, atol, rtol)))
     return PartialRowsVerdict(discord_proven=count >= dim_a + 1, independent_count=count)
@@ -223,7 +235,7 @@ def certifying_rows(rows, dim_a: int, atol: float = RANK_ATOL, rtol: float = RAN
     Returns None when the supplied rows cannot prove discord.
     """
     _check_tolerances(atol=atol, rtol=rtol)
-    indices, stacked = _coerce_rows(rows)
+    indices, stacked = _coerce_rows(rows, dim_a)
     picked: list[int] = []
     kept = np.empty((0, stacked.shape[1]))
     for pos in range(len(indices)):

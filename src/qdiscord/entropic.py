@@ -111,15 +111,6 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _pauli_blocks(rho: DensityMatrix):
-    """B-side blocks g0, gx, gy, gz = Tr_A[(s x 1) rho] for s = 1, sigma_x, sigma_y, sigma_z.
-
-    For a direction e the unnormalized post-measurement blocks of B are
-    (g0 +- (e1 gx + e2 gy + e3 gz))/2.
-    """
-    return a_side_blocks(rho, _PAULI_STACK)
-
-
 def _angles_to_dir(angles: np.ndarray) -> np.ndarray:
     """Unit vectors (..., 3) from sphere angles (..., 2) = (theta, phi)."""
     theta = angles[..., 0]
@@ -177,7 +168,7 @@ def classical_correlation_qa(
             f"need grid_points >= 1 and refine_iters, refine_starts >= 0; got "
             f"{grid_points}, {refine_iters}, {refine_starts}"
         )
-    g0, gx, gy, gz = _pauli_blocks(rho)
+    g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)  # g0 = Tr_A rho
     dirs = fibonacci_sphere(grid_points)
     dirs = dirs[dirs[:, 2] >= 0.0]  # e and -e are one measurement
     values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
@@ -205,7 +196,7 @@ def classical_correlation_qa(
                 best_val = float(value)
                 best_dir = _angles_to_dir(x)
 
-    h_b = von_neumann_entropy(partial_trace(rho, "B"))
+    h_b = von_neumann_entropy(g0)
     return ClassicalCorrelationResult(
         value=h_b - best_val + 0.0,
         best_direction=best_dir,

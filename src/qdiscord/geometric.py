@@ -17,7 +17,7 @@ from . import _accel
 from .correlation import _expand, _rebuild
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
 from .linalg import _PAULI_STACK, PSD_ATOL, DensityMatrix, _as_matrix, _check_tolerances
-from .linalg import a_side_blocks, a_side_sum
+from .linalg import a_side_blocks
 
 # Bell-diagonal tetrahedron vertices; 1 + t.v >= 0 for each vertex v is
 # exactly eigenvalue positivity of (1x1 + sum t_i sigma_i x sigma_i)/4.
@@ -26,18 +26,24 @@ _TETRA_VERTICES = np.array(
 )
 
 
+def _correlation_vector(t) -> np.ndarray:
+    """t as a float array of shape (3,), else DimensionError."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (3,):
+        raise DimensionError("t must be a real 3-vector")
+    return t
+
+
 def tetrahedron_contains(t, atol: float = 1e-12) -> bool:
     """True if the Bell-diagonal state with correlation vector t is physical."""
     _check_tolerances(atol=atol)
-    t = np.asarray(t, dtype=float)
-    return bool(np.all(1.0 + _TETRA_VERTICES @ t >= -atol))
+    return bool(np.all(1.0 + _TETRA_VERTICES @ _correlation_vector(t) >= -atol))
 
 
 def octahedron_contains(t, atol: float = 1e-12) -> bool:
     """True if the Bell-diagonal state with correlation vector t is separable."""
     _check_tolerances(atol=atol)
-    t = np.asarray(t, dtype=float)
-    return bool(np.abs(t).sum() <= 1.0 + atol)
+    return bool(np.abs(_correlation_vector(t)).sum() <= 1.0 + atol)
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,11 @@ class ZeroDiscordPoint:
 
 @dataclass(frozen=True)
 class GeometricResult:
-    """Closed-form geometric discord with its minimizer."""
+    """Closed-form geometric discord and the measurement direction that attains it."""
 
     value: float
     k_max: float
     e_star: np.ndarray
-    chi_star: DensityMatrix
 
 
 def geometric_discord_2q(rho: DensityMatrix) -> GeometricResult:
@@ -157,6 +162,8 @@ def geometric_discord_2q(rho: DensityMatrix) -> GeometricResult:
     at 2x2).  Of the zero-discord states classical along e, rho dephased along e is
     nearest (Luo and Fu, PRA 82, 034302 (2010)), at (Tr K - e^T K e)/4.  So e_star is
     K's top eigenvector, its first nonzero component made positive for a deterministic output.
+    A caller who needs the nearest zero-discord state forms it from e_star as
+    (rho + (e_star.sigma x 1) rho (e_star.sigma x 1))/2.
     """
     if rho.dim_a != 2:
         raise DimensionError(f"need a qubit A side, got dims ({rho.dim_a}, {rho.dim_b})")
@@ -165,12 +172,10 @@ def geometric_discord_2q(rho: DensityMatrix) -> GeometricResult:
     k = 2.0 * (flat @ flat.conj().T).real  # X_j is Hermitian: Tr(X_i X_j) = <X_i, X_j>
     w, v = np.linalg.eigh(k)
     k_max = float(w[-1])
-    e_star = v[:, -1] * np.sign(v[np.abs(v[:, -1]) > 1e-12, -1][0])
+    # + 0.0 folds the -0.0 that the sign flip makes of an exact 0 into 0.0
+    e_star = v[:, -1] * np.sign(v[np.abs(v[:, -1]) > 1e-12, -1][0]) + 0.0
     value = 0.25 * (float(np.trace(k)) - k_max)
-    # rho measured along e_star: PSD by construction, so no clamping is needed.
-    blocks = np.concatenate([x[:1], e_star[:, None, None] * np.tensordot(e_star, x[1:], 1)])
-    chi_star = DensityMatrix(0.5 * a_side_sum(_PAULI_STACK, blocks), 2, rho.dim_b)
-    return GeometricResult(value=value, k_max=k_max, e_star=e_star, chi_star=chi_star)
+    return GeometricResult(value=value, k_max=k_max, e_star=e_star)
 
 
 def bell_diagonal_discord(t) -> float:

@@ -56,7 +56,9 @@ class DensityMatrix:
 
     ``mat`` is (dim_a*dim_b) x (dim_a*dim_b), Hermitian, unit trace and
     positive semidefinite within the module tolerances.  Construction fails
-    with :class:`ValidationError` otherwise.
+    with :class:`ValidationError` otherwise.  Every state from a file or a
+    caller is validated in full; only a state the library derives, with a
+    proof in its builder's docstring, skips validation through ``_certified``.
     """
 
     mat: np.ndarray

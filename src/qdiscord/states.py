@@ -34,9 +34,7 @@ def projector(ket: np.ndarray) -> np.ndarray:
 def bell_diagonal_state(t) -> DensityMatrix:
     """State (1x1 + sum_i t_i sigma_i x sigma_i)/4 with maximally mixed marginals."""
     t = np.asarray(t, dtype=float)
-    if t.shape != (3,):
-        raise DimensionError("t must be a real 3-vector")
-    if not tetrahedron_contains(t):
+    if not tetrahedron_contains(t):  # DimensionError unless t is a 3-vector
         raise OutsidePhysicalError(f"t={t.tolist()} lies outside the physical tetrahedron")
     return DensityMatrix(state_from_bloch(np.zeros(3), np.zeros(3), np.diag(t)), 2, 2)
 

@@ -7,7 +7,8 @@ import pytest
 
 import qdiscord as qd
 from qdiscord import _accel
-from qdiscord.entropic import _angles_to_dir, _initial_simplices, _pauli_blocks, fibonacci_sphere
+from qdiscord.entropic import _angles_to_dir, _initial_simplices, fibonacci_sphere
+from qdiscord.linalg import _PAULI_STACK, a_side_blocks
 
 
 def _oracle_simplices(restarts, seed):
@@ -18,7 +19,7 @@ def _oracle_simplices(restarts, seed):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
 def test_scan_matches_conditional_ensemble(dims):
     rho = qd.random_density_matrix(*dims, seed=dims[1])
-    g0, gx, gy, gz = _pauli_blocks(rho)
+    g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
     dirs = fibonacci_sphere(33)
     values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
     for e, value in zip(dirs, values):
@@ -28,7 +29,7 @@ def test_scan_matches_conditional_ensemble(dims):
 
 
 def test_scan_handles_pure_outcomes(bell):
-    g0, gx, gy, gz = _pauli_blocks(bell)
+    g0, gx, gy, gz = a_side_blocks(bell, _PAULI_STACK)
     dirs = fibonacci_sphere(64)
     values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
     # any measurement on one half of a Bell state leaves B pure
@@ -40,7 +41,8 @@ def test_scan_is_even_in_the_direction(dims):
     # e and -e give the same two projectors with the outcomes swapped, so the
     # optimizer may scan one hemisphere; the symmetry holds bit for bit
     for seed in range(5):
-        g0, gx, gy, gz = _pauli_blocks(qd.random_density_matrix(*dims, seed=40 + seed))
+        rho = qd.random_density_matrix(*dims, seed=40 + seed)
+        g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
         dirs = fibonacci_sphere(257)
         values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
         assert np.array_equal(_accel.conditional_entropy_scan(g0, gx, gy, gz, -dirs), values)
@@ -246,7 +248,7 @@ def test_entropic_refinement_matches_scipy():
         qd.bell_diagonal_state([0.5, -0.3, 0.2]),
         qd.four_nonorthogonal_state(),
     ):
-        g0, gx, gy, gz = _pauli_blocks(rho)
+        g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
         dirs = fibonacci_sphere(qd.entropic.GRID_POINTS)
         values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
         order = np.argsort(values, kind="stable")
@@ -276,7 +278,7 @@ def test_refine_starts_zero_returns_grid_result():
     # over the whole sphere, seed 5's grid minimum lies at z > 0 and seed 6's at z < 0
     for seed in (5, 6):
         rho = qd.random_density_matrix(2, 2, seed)
-        g0, gx, gy, gz = _pauli_blocks(rho)
+        g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
         values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
         res = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=0)
         assert res.min_conditional_entropy == float(values.min())

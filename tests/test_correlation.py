@@ -358,6 +358,26 @@ class TestPartialRowsWitness:
         with pytest.raises(qd.ValidationError, match=f"^{name} must be finite and >= 0"):
             func(rows, 2, **{name: bad})
 
+    @pytest.mark.parametrize(
+        "dim_a, indices, error",
+        [
+            (2, (0, 1, 99), qd.ValidationError),  # a_index past dim_a^2 - 1
+            (2, (0, 1, 7), qd.ValidationError),
+            (2, (-1, 0, 1), qd.ValidationError),
+            (2, (0, 1, 2.0), qd.ValidationError),
+            (0, (0, 1, 2), qd.DimensionError),  # one row would "prove" discord at dim_a = 0
+            (2.5, (0, 1, 2), qd.DimensionError),
+            (-1, (0, 1, 2), qd.DimensionError),
+            (True, (0, 1, 2), qd.DimensionError),
+        ],
+    )
+    @pytest.mark.parametrize("func", [qd.partial_rows_witness, qd.certifying_rows])
+    def test_rejects_bad_dim_a_or_a_index(self, bell, func, dim_a, indices, error):
+        cm = qd.correlation_matrix(bell)
+        rows = [(i, cm.r[n]) for n, i in enumerate(indices)]
+        with pytest.raises(error, match="^(dim_a|a_index) must be an integer"):
+            func(rows, dim_a)
+
     def test_certifying_rows(self, bell):
         cm = qd.correlation_matrix(bell)
         rows = [(n, cm.r[n]) for n in range(4)]

@@ -10,9 +10,8 @@ from qdiscord.entropic import (
     REFINE_STARTS,
     _angles_to_dir,
     _initial_simplices,
-    _pauli_blocks,
 )
-from qdiscord.linalg import ID2
+from qdiscord.linalg import _PAULI_STACK, ID2, a_side_blocks
 
 
 def _random_b_state(rng, d):
@@ -76,7 +75,7 @@ class _CountedScan:
 def _full_sphere_minimum(rho, scan):
     """Minimum conditional entropy by the earlier optimizer: the whole lattice,
     then the best REFINE_STARTS points refined to xatol = 1e-10, no settle stop."""
-    g0, gx, gy, gz = _pauli_blocks(rho)
+    g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
     dirs = qd.fibonacci_sphere(GRID_POINTS)
     values = scan(g0, gx, gy, gz, dirs)
     starts = dirs[np.argsort(values, kind="stable")[:REFINE_STARTS]]
@@ -217,7 +216,7 @@ class TestPauliBlocks:
             t = rho.blocks()
             r00, r01, r10, r11 = t[0, :, 0, :], t[0, :, 1, :], t[1, :, 0, :], t[1, :, 1, :]
             expected = (r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11)
-            blocks = _pauli_blocks(rho)
+            blocks = a_side_blocks(rho, _PAULI_STACK)
             assert len(blocks) == 4
             for got, want in zip(blocks, expected):
                 assert np.array_equal(got, want)

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -38,6 +40,24 @@ class TestRegionTests:
         # nan would call the origin outside both regions; inf would call every point inside
         with pytest.raises(qd.ValidationError, match="^atol must be finite and >= 0"):
             getattr(qd, contains)([0.0, 0.0, 0.0], atol=bad)
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            "tetrahedron_contains",
+            "octahedron_contains",
+            "bell_diagonal_discord",
+            "bell_diagonal_state",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "t",
+        [[0.1, 0.2], [0.1, 0.2, 0.0, 0.0], 0.1, [[0.1, 0.2, 0.0]]],
+        ids=["2-vector", "4-vector", "scalar", "row"],
+    )
+    def test_rejects_t_that_is_not_a_3_vector(self, func, t):
+        with pytest.raises(qd.DimensionError, match="^t must be a real 3-vector$"):
+            getattr(qd, func)(t)
 
     def test_tetrahedron_matches_eigenvalues(self):
         rng = np.random.default_rng(0)
@@ -125,6 +145,16 @@ class TestHsDistance:
             qd.hs_distance_sq(np.eye(2) / 2, np.eye(3) / 3)
 
 
+def _dephased(rho, e):
+    """rho measured along e on A: sum over +-e of (P x 1) rho (P x 1), built with np.kron."""
+    e_sigma = np.tensordot(e, np.stack(qd.linalg.PAULIS), 1)
+    out = np.zeros_like(rho.mat)
+    for sign in (1.0, -1.0):
+        proj = np.kron((np.eye(2) + sign * e_sigma) / 2.0, np.eye(rho.dim_b))
+        out += proj @ rho.mat @ proj
+    return out
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("index", [0, 1, 2, 3])
     def test_bell_states(self, index):
@@ -147,14 +177,7 @@ class TestClosedForm:
             assert closed == pytest.approx(qd.bell_diagonal_discord(t), abs=1e-12)
 
     def test_minimizer_is_zero_discord_at_value(self):
-        for seed in range(20):
-            rho = qd.random_density_matrix(2, 2, seed)
-            res = qd.geometric_discord_2q(rho)
-            assert qd.zero_discord_test(res.chi_star).is_zero_discord
-            assert qd.hs_distance_sq(rho, res.chi_star) == pytest.approx(res.value, abs=1e-10)
-
-    def test_minimizer_is_state_measured_along_e_star(self):
-        paulis = (qd.linalg.SIGMA_X, qd.linalg.SIGMA_Y, qd.linalg.SIGMA_Z)
+        """rho dephased along e_star is a zero-discord state at distance D_G from rho."""
         states = [qd.random_density_matrix(2, 2, seed) for seed in range(20)]
         for seed in range(20):
             psi = qd.random_unitary(4, 400 + seed)[:, 0]
@@ -162,19 +185,16 @@ class TestClosedForm:
         states += [qd.bell_state(i) for i in range(4)]
         for rho in states:
             res = qd.geometric_discord_2q(rho)
-            e_sigma = sum(e * s for e, s in zip(res.e_star, paulis))
-            measured = np.zeros((4, 4), dtype=complex)
-            for sign in (1.0, -1.0):
-                proj = np.kron((np.eye(2) + sign * e_sigma) / 2.0, np.eye(2))
-                measured += proj @ rho.mat @ proj
-            assert_allclose(res.chi_star.mat, measured, rtol=0, atol=1e-15)
+            chi = qd.DensityMatrix(_dephased(rho, res.e_star), 2, 2)
+            assert qd.zero_discord_test(chi).is_zero_discord
+            assert qd.hs_distance_sq(rho, chi) == pytest.approx(res.value, abs=1e-10)
 
     def test_stationarity_of_minimizer(self):
         for seed in range(10):
             rho = qd.random_density_matrix(2, 2, seed)
             res = qd.geometric_discord_2q(rho)
             b = qd.bloch_triple(rho)
-            bc = qd.bloch_triple(res.chi_star)
+            bc = qd.bloch_triple(qd.DensityMatrix(_dephased(rho, res.e_star), 2, 2))
             e = res.e_star
             assert bc.x @ e == pytest.approx(b.x @ e, abs=1e-10)
             assert_allclose(bc.y, b.y, atol=1e-10)
@@ -194,16 +214,6 @@ class TestClosedForm:
         assert np.array_equal(a.e_star, b.e_star)
         first_nonzero = a.e_star[np.abs(a.e_star) > 1e-12][0]
         assert first_nonzero > 0
-
-
-def _dephased(rho, e):
-    """rho measured along e on A: sum over +-e of (P x 1) rho (P x 1), built with np.kron."""
-    e_sigma = np.tensordot(e, np.stack(qd.linalg.PAULIS), 1)
-    out = np.zeros_like(rho.mat)
-    for sign in (1.0, -1.0):
-        proj = np.kron((np.eye(2) + sign * e_sigma) / 2.0, np.eye(rho.dim_b))
-        out += proj @ rho.mat @ proj
-    return out
 
 
 def _dephasing_scan(rho):
@@ -234,12 +244,37 @@ class TestQubitQudit:
             rho = qd.random_density_matrix(2, dim_b, 50 * dim_b + seed)
             res = qd.geometric_discord_2q(rho)
             assert res.value == pytest.approx(_dephasing_scan(rho), abs=1e-12)
-            assert qd.hs_distance_sq(rho, res.chi_star) == pytest.approx(res.value, abs=1e-15)
-            assert_allclose(res.chi_star.mat, _dephased(rho, res.e_star), rtol=0, atol=1e-15)
-            assert qd.zero_discord_test(res.chi_star).is_zero_discord
+            chi = qd.DensityMatrix(_dephased(rho, res.e_star), 2, dim_b)
+            assert qd.hs_distance_sq(rho, chi) == pytest.approx(res.value, abs=1e-15)
+            assert qd.zero_discord_test(chi).is_zero_discord
             w = np.kron(np.eye(2), qd.random_unitary(dim_b, seed))
             rotated = qd.DensityMatrix(w @ rho.mat @ w.conj().T, 2, dim_b)
             assert qd.geometric_discord_2q(rotated).value == pytest.approx(res.value, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dephased_dqc1_output_state_is_at_value(self, n):
+        """On DQC1 output states, where D_G = alpha^2 (1 - |Tr U^2|/2^n)/2^(n+2), rho
+        dephased along e_star is a state at squared distance D_G, and has zero discord."""
+        rng = np.random.default_rng(n)
+        paulis = (np.eye(2),) + qd.linalg.PAULIS
+        pauli_string = reduce(np.kron, [paulis[k] for k in rng.integers(0, 4, n)])
+        phased_pauli = np.exp(1j * rng.uniform(-np.pi, np.pi)) * pauli_string
+        for u in (qd.random_unitary(2**n, 60 + n), phased_pauli):
+            for alpha in (1.0, 0.3):
+                rho = qd.dqc1_output_state(qd.Dqc1Instance(n=n, alpha=alpha, unitary=u))
+                res = qd.geometric_discord_2q(rho)
+                chi = qd.DensityMatrix(_dephased(rho, res.e_star), 2, rho.dim_b)
+                assert qd.hs_distance_sq(rho, chi) == pytest.approx(res.value, abs=1e-15)
+                if n <= 5:  # zero_discord_test at 2x64 needs gell_mann_basis(64), about 11 s
+                    assert qd.zero_discord_test(chi).is_zero_discord
+
+    def test_e_star_has_no_negative_zero(self):
+        # DQC1 output states have no sigma_z x . part, so e_star's z component is an exact 0
+        for seed in range(8):
+            u = qd.random_unitary(4, seed)
+            rho = qd.dqc1_output_state(qd.Dqc1Instance(n=2, alpha=0.6, unitary=u))
+            e_star = qd.geometric_discord_2q(rho).e_star
+            assert e_star[2] == 0.0 and not np.signbit(e_star[2])
 
     def test_rejects_qutrit_a_side(self):
         with pytest.raises(qd.DimensionError, match="qubit A side"):
