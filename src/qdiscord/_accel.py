@@ -1,15 +1,15 @@
 """Hot numeric kernels in plain numpy.
 
 One batched Nelder-Mead advances many independent simplices per numpy call;
-it drives both the geometric-discord oracle (one simplex per restart) and the
-entropic refinement (one simplex per refined grid point).  A step costs about
-the same numpy dispatch at 8 points as at 128, so it moves several vertices
-of each simplex at once (D. Lee and M. Wiswall, Comput. Econ. 30, 171
-(2007)), with coefficients adapted to the dimension (F. Gao and L. Han,
-Comput. Optim. Appl. 51, 259 (2012)): three of the oracle's 10 vertices, and
-one of the refinement's 3, which is the classic step.  The two objectives it
-minimizes, the squared distance to a zero-discord state and the
-measurement-direction entropy scan, are vectorized over points.
+it drives the geometric-discord oracle, one simplex per restart.  A step
+costs about the same numpy dispatch at 8 points as at 128, so it moves
+several vertices of each simplex at once (D. Lee and M. Wiswall, Comput.
+Econ. 30, 171 (2007)), with coefficients adapted to the dimension (F. Gao
+and L. Han, Comput. Optim. Appl. 51, 259 (2012)): three of the oracle's 10
+vertices.  The entropic refinement does not use it: its stencil Newton steps
+(``entropic._newton_refine``) call the measurement-direction entropy scan
+below.  Both objectives, the squared distance to a zero-discord state and
+that scan, are vectorized over points.
 """
 
 from __future__ import annotations

@@ -67,7 +67,19 @@ def _number(v: Any, where: str) -> float:
     return x
 
 
-def _parse_complex_matrix(obj: Any, what: str) -> np.ndarray:
+def _parse_complex_matrix(obj: Any, what: str, text: str) -> np.ndarray:
+    # Fast path for a well-formed numeric n x n x 2 array.  numpy reads a JSON
+    # boolean as 1.0 or 0.0, so a text with a boolean literal takes the checked
+    # loop below, as does anything numpy cannot make a finite number array of.
+    if "true" not in text and "false" not in text:
+        try:
+            arr = np.asarray(obj)
+        except (ValueError, OverflowError):  # ragged rows or pairs
+            arr = np.empty(0)
+        n = arr.shape[0] if arr.ndim else 0
+        if n and arr.shape == (n, n, 2) and arr.dtype.kind in "fiu" and np.isfinite(arr).all():
+            # a complex view of the [re, im] pairs keeps every bit, -0.0 included
+            return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{what}: 'matrix' must be a non-empty array of rows")
     n = len(obj)
@@ -99,7 +111,7 @@ def parse_state_document(text: str) -> DensityMatrix:
         or not all(_is_int(d) and d >= 1 for d in dims)
     ):
         raise ParseError("'dims' must be two positive integers")
-    mat = _parse_complex_matrix(obj["matrix"], "state file")
+    mat = _parse_complex_matrix(obj["matrix"], "state file", text)
     if mat.shape[0] != dims[0] * dims[1]:
         raise DimensionError(
             f"matrix size {mat.shape[0]} does not match dims {dims[0]}x{dims[1]}"
@@ -124,7 +136,7 @@ def parse_unitary_document(text: str) -> np.ndarray:
     obj = _load_json(text)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("unitary file needs a 'matrix' field")
-    return _parse_complex_matrix(obj["matrix"], "unitary file")
+    return _parse_complex_matrix(obj["matrix"], "unitary file", text)
 
 
 def save_unitary(u: np.ndarray, path) -> None:

@@ -7,8 +7,9 @@ import pytest
 
 import qdiscord as qd
 from qdiscord import _accel
-from qdiscord.entropic import _angles_to_dir, _initial_simplices, fibonacci_sphere
+from qdiscord.entropic import fibonacci_sphere
 from qdiscord.linalg import _PAULI_STACK, a_side_blocks
+from sphere_simplex import _angles_to_dir, _initial_simplices
 
 
 def _oracle_simplices(restarts, seed):

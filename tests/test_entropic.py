@@ -4,14 +4,9 @@ from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord import _accel
-from qdiscord.entropic import (
-    GRID_POINTS,
-    REFINE_ITERS,
-    REFINE_STARTS,
-    _angles_to_dir,
-    _initial_simplices,
-)
+from qdiscord.entropic import GRID_POINTS, REFINE_ITERS, REFINE_STARTS
 from qdiscord.linalg import _PAULI_STACK, ID2, a_side_blocks
+from sphere_simplex import _angles_to_dir, _initial_simplices
 
 
 def _random_b_state(rng, d):
@@ -35,6 +30,20 @@ def _criterion_05_qubit_cq_states():
         p /= p.sum()
         states = [_random_b_state(rng, dim_b) for _ in range(k)]
         out.append(qd.classical_quantum_state(p, [u[:, i] for i in range(k)], states))
+    return out
+
+
+def _pure_conditional_cq_states(dim_b, count, seed):
+    """Seeded qubit cq states whose two conditional states of B are pure kets."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        u = qd.random_unitary(2, int(rng.integers(2**31)))
+        p = rng.uniform(0.05, 1.0, 2)
+        kets = rng.standard_normal((2, dim_b)) + 1j * rng.standard_normal((2, dim_b))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        states = [np.outer(k, k.conj()) for k in kets]
+        out.append(qd.classical_quantum_state(p / p.sum(), [u[:, 0], u[:, 1]], states))
     return out
 
 
@@ -242,9 +251,51 @@ class TestClassicalCorrelation:
         rho = qd.random_density_matrix(2, 2, 9)
         res = qd.classical_correlation_qa(rho, grid_points=2048.0)
         assert res.min_conditional_entropy == qd.classical_correlation_qa(rho).min_conditional_entropy
+        assert res.grid_points == 2048 and type(res.grid_points) is int
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("grid_points", float("nan")),
+            ("grid_points", float("inf")),
+            ("grid_points", 1.5),
+            ("grid_points", True),
+            ("grid_points", "2048"),
+            ("refine_iters", 10.5),
+            ("refine_iters", None),
+            ("refine_starts", 2.5),
+            ("refine_starts", True),
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers(self, name, value):
+        rho = qd.random_density_matrix(2, 2, 9)
+        with pytest.raises(qd.ValidationError, match=f"^{name} must be an integer"):
+            qd.classical_correlation_qa(rho, **{name: value})
+
+    def test_reports_grid_minimum_scans_and_agreeing_starts(self, monkeypatch):
+        counted = _CountedScan()
+        monkeypatch.setattr(qd.entropic, "conditional_entropy_scan", counted)
+        rho = qd.random_density_matrix(2, 3, 12)
+        res = qd.classical_correlation_qa(rho)
+        assert res.scans == counted.calls > 1
+        assert res.min_conditional_entropy < res.grid_minimum
+        assert 2 <= res.starts_agreeing <= REFINE_STARTS  # the settle stop fires on two
+        grid = qd.classical_correlation_qa(rho, refine_starts=0)
+        assert (grid.scans, grid.starts_agreeing) == (1, 0)
+        assert grid.grid_minimum == grid.min_conditional_entropy == res.grid_minimum
+
+    def test_entropic_path_makes_no_simplex_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nelder_mead called")
+
+        monkeypatch.setattr(_accel, "nelder_mead", refuse)
+        monkeypatch.setattr(qd.entropic, "nelder_mead", refuse, raising=False)
+        rho = qd.random_density_matrix(2, 3, 31)
+        assert 0.0 < qd.entropic_discord(rho) <= 1.0
 
     def test_no_worse_and_cheaper_than_full_sphere_refinement(self, monkeypatch):
         states = _criterion_05_qubit_cq_states()
+        states += [s for d in (2, 3) for s in _pure_conditional_cq_states(d, 20, 700 + d)]
         states += [qd.random_density_matrix(2, d, 300 + seed) for d in (2, 3) for seed in range(25)]
         states += [qd.bell_diagonal_state(t) for t in _inner_tetrahedron_points(7, 20)]
         reference = _CountedScan()

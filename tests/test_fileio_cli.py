@@ -58,6 +58,38 @@ class TestStateFiles:
         with pytest.raises(qd.ParseError):
             fileio.load_state(path)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("[true, 0.0]", "entry (0, 0) must be a number, got true"),
+            ("[0.5, false]", "entry (0, 0) must be a number, got false"),
+            ("[NaN, 0.0]", "entry (0, 0) must be finite, got NaN"),
+            ("[0.5, -Infinity]", "entry (0, 0) must be finite, got -Infinity"),
+            ("[1" + "0" * 399 + ", 0.0]", "entry (0, 0) must be finite, got 1" + "0" * 39),
+            ('["0.5", 0.0]', 'entry (0, 0) must be a number, got "0.5"'),
+            ("[null, 0.0]", "entry (0, 0) must be a number, got null"),
+            ("[0.5, 0.0, 0.0]", "entry (0, 0) must be an [re, im] pair"),
+            ("[0.5, 0.0], [0.0, 0.0]", "row 0 must hold 4 entries"),
+        ],
+    )
+    def test_bad_entries_keep_their_messages(self, entry, message):
+        doc = fileio.state_document(qd.bell_state(0)).replace("[0.5, 0.0]", entry, 1)
+        with pytest.raises(qd.ParseError) as err:
+            fileio.parse_state_document(doc)
+        assert str(err.value) == f"state file: {message}"
+
+    def test_fast_and_checked_parse_agree_bit_for_bit(self):
+        u = qd.random_unitary(8, 4)
+        u[0, 0] = complex(-0.0, -0.0)
+        u[1, 2] = complex(3, -0.0)
+        doc = fileio.unitary_document(u)
+        fast = fileio.parse_unitary_document(doc)
+        # a boolean anywhere in the text sends the matrix through the checked loop
+        checked = fileio.parse_unitary_document(doc.replace("{", '{"checked": true,', 1))
+        for got in (fast, checked):
+            assert got.dtype == complex and got.shape == (8, 8)
+            assert np.array_equal(got.view(float).view(np.int64), u.view(float).view(np.int64))
+
 
 class TestRowsFiles:
     def test_roundtrip(self, tmp_path):

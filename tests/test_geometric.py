@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord._accel import nelder_mead
-from qdiscord.entropic import _angles_to_dir
+from sphere_simplex import _angles_to_dir
 
 
 def _random_tetrahedron_point(rng):
