@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonHermitianError, ValidationError
-from .linalg import _check_tolerances
+from .linalg import _check_tolerances, _count_arg
 
 ORTHONORMAL_ATOL = 1e-12
 # Distinct dimensions whose Gell-Mann basis stays cached; a d = 64 basis is 268 MB.
@@ -36,14 +36,14 @@ class HermitianBasis:
         if ops.shape != (d * d, d, d):
             raise DimensionError(f"expected {(d*d, d, d)} operator stack, got {ops.shape}")
         herm = np.linalg.norm(ops - ops.conj().transpose(0, 2, 1), axis=(1, 2))
-        if herm.max() > ORTHONORMAL_ATOL:
+        if not herm.max() <= ORTHONORMAL_ATOL:  # written so that NaN fails
             raise NonHermitianError(f"basis operator Hermiticity defect {herm.max():.3e}")
         # Tr(A_n A_m) = sum_ij A_n[i, j] conj(A_m[i, j]) for Hermitian A_m: one BLAS product.
         flat = ops.reshape(d * d, d * d)
         gram = (flat @ flat.conj().T).real
-        if np.abs(gram - np.eye(d * d)).max() > ORTHONORMAL_ATOL:
+        if not np.abs(gram - np.eye(d * d)).max() <= ORTHONORMAL_ATOL:
             raise ValidationError("basis is not orthonormal")
-        if np.abs(ops[0] - np.eye(d) / np.sqrt(d)).max() > ORTHONORMAL_ATOL:
+        if not np.abs(ops[0] - np.eye(d) / np.sqrt(d)).max() <= ORTHONORMAL_ATOL:
             raise ValidationError("ops[0] must be the normalized identity")
 
     def __len__(self) -> int:
@@ -58,6 +58,7 @@ def gell_mann_basis(d: int) -> HermitianBasis:
     Cached per dimension: every call with the same d returns the same
     immutable basis.
     """
+    d = _count_arg("d", d)
     if d < 2:
         raise DimensionError(f"basis needs dimension >= 2, got {d}")
     ops = np.zeros((d * d, d, d), dtype=complex)
@@ -86,7 +87,7 @@ def expand(op, basis: HermitianBasis, atol: float = 1e-9) -> np.ndarray:
     if mat.shape != (basis.dim, basis.dim):
         raise DimensionError(f"operator shape {mat.shape} does not match basis dim {basis.dim}")
     defect = np.linalg.norm(mat - mat.conj().T)
-    if defect > atol:
+    if not defect <= atol:  # written so that NaN fails
         raise NonHermitianError(f"Hermiticity defect {defect:.3e}")
     return np.einsum("ij,nji->n", mat, basis.ops).real
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import HermitianBasis, gell_mann_basis
 from .errors import DimensionError, ValidationError
-from .linalg import DensityMatrix, _check_tolerances, a_side_blocks, a_side_sum
+from .linalg import DensityMatrix, _check_tolerances, _expand, _is_integer, _rebuild
 
 RANK_ATOL = 1e-10
 RANK_RTOL = 1e-9
@@ -65,20 +65,6 @@ class ZeroDiscordVerdict:
 class PartialRowsVerdict:
     discord_proven: bool
     independent_count: int
-
-
-def _expand(rho: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
-    """Real coefficients r_nm = Tr[rho (A_n x B_m)] over two stacks of Hermitian operators."""
-    half = a_side_blocks(rho, ops_a)
-    # The sum over (b', b) is one BLAS product of the flattened half[n, b', b] and B_m[b', b].
-    n_a, n_b = len(ops_a), len(ops_b)
-    return (half.transpose(0, 2, 1).reshape(n_a, -1) @ ops_b.reshape(n_b, -1).T).real
-
-
-def _rebuild(r: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
-    """The matrix sum_nm r_nm A_n x B_m; for orthonormal stacks the inverse of _expand."""
-    n_b, d_b = len(ops_b), ops_b.shape[1]
-    return a_side_sum(ops_a, (r @ ops_b.reshape(n_b, -1)).reshape(-1, d_b, d_b))
 
 
 def _rank_cutoff(c: np.ndarray, atol: float, rtol: float) -> float:
@@ -178,10 +164,6 @@ def zero_discord_test(
         max_commutator=max_comm,
         witness_triggered=witness,
     )
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _coerce_rows(rows, dim_a) -> tuple[np.ndarray, np.ndarray]:

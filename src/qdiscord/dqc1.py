@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, ValidationError
-from .linalg import PSD_ATOL, DensityMatrix, _check_tolerances
+from .linalg import PSD_ATOL, DensityMatrix, _check_tolerances, _count_arg
 
 UNITARY_ATOL = 1e-9
 CLASSICALITY_RTOL = 1e-9
@@ -61,6 +61,7 @@ class Dqc1Instance:
     unitary: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _count_arg("n", self.n))
         if self.n < 1 or self.n > MAX_REGISTER_QUBITS:
             raise DimensionError(f"register size must be 1..{MAX_REGISTER_QUBITS}, got {self.n}")
         _check_alpha(self.alpha)
@@ -145,6 +146,7 @@ def dqc1_sample_trace(inst: Dqc1Instance, samples: int, seed: int) -> TraceEstim
     measured in separate shot batches.  Deterministic per seed; the
     estimator is unbiased with standard error scaling 1/alpha.
     """
+    samples, seed = _count_arg("samples", samples), _count_arg("seed", seed, 0)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValidationError(f"samples must lie in 1..{MAX_SAMPLES}, got {samples}")
     exact = inst.normalized_trace()

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import conditional_entropy_scan
-from .correlation import _is_integer
 from .errors import DimensionError, ValidationError
 from .linalg import (
-    _PAULI_STACK, OUTCOME_FLOOR, DensityMatrix, a_side_blocks, partial_trace, von_neumann_entropy,
+    _PAULI_STACK, ENTROPY_EIG_FLOOR, OUTCOME_FLOOR, DensityMatrix, _count_arg, a_side_blocks,
+    partial_trace, von_neumann_entropy,
 )
 
 GRID_POINTS = 2048
@@ -112,6 +111,33 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
+def conditional_entropy_scan(g0, gx, gy, gz, dirs):
+    """Average conditional entropy of B after measuring A along each direction.
+
+    g0, gx, gy, gz are the B-side blocks Tr_A[(s x 1) rho] for s = 1, sigma_x,
+    sigma_y, sigma_z; dirs is an (n, 3) array of unit vectors.  Measuring A along
+    e leaves B in the unnormalized blocks (g0 +- (e1 gx + e2 gy + e3 gz))/2.
+    Returns an (n,) array of sum_k p_k H(rho_B|k) values in bits.
+    """
+    d = g0.shape[0]
+    g = (dirs @ np.stack([gx, gy, gz]).reshape(3, d * d)).reshape(-1, d, d)
+    blocks = 0.5 * (g0 + np.stack([g, -g]))  # the two outcomes' unnormalized B states
+    if d == 2:
+        # closed-form eigenvalues of [[a, c], [c*, b]]
+        a = blocks[..., 0, 0].real
+        b = blocks[..., 1, 1].real
+        c = blocks[..., 0, 1]
+        half_gap = 0.5 * np.sqrt((a - b) ** 2 + 4.0 * (c.real**2 + c.imag**2))
+        mid = 0.5 * (a + b)
+        w = np.stack([mid - half_gap, mid + half_gap], axis=-1)
+    else:
+        w = np.linalg.eigvalsh(blocks)
+    p = w.sum(axis=-1)
+    wn = w / np.maximum(p, OUTCOME_FLOOR)[..., None]
+    ent = -np.where(wn > ENTROPY_EIG_FLOOR, wn * np.log2(np.maximum(wn, ENTROPY_EIG_FLOOR)), 0.0)
+    return np.where(p > OUTCOME_FLOOR, p * ent.sum(axis=-1), 0.0).sum(axis=0)
+
+
 # a 3x3 stencil without its centre, in units of the spacing h
 _STENCIL = np.array([[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 1], [1, -1], [1, 0], [1, 1.0]])
 
@@ -194,18 +220,6 @@ class ClassicalCorrelationResult:
     grid_minimum: float
     scans: int
     starts_agreeing: int
-
-
-def _count_arg(name: str, value, least: int) -> int:
-    """``value`` as an int >= least; integral floats such as 2048.0 pass, booleans do not."""
-    whole = _is_integer(value) or (
-        isinstance(value, (float, np.floating)) and float(value).is_integer()
-    )
-    if not whole:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValidationError(f"need {name} >= {least}, got {value!r}")
-    return int(value)
 
 
 def classical_correlation_qa(

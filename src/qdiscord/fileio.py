@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _is_integer
 
 
 def _complex_rows(mat: np.ndarray) -> list:
@@ -48,10 +48,6 @@ def _read_text(path) -> str:
             return f.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-
-
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _number(v: Any, where: str) -> float:
@@ -108,7 +104,7 @@ def parse_state_document(text: str) -> DensityMatrix:
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(_is_int(d) and d >= 1 for d in dims)
+        or not all(_is_integer(d) and d >= 1 for d in dims)
     ):
         raise ParseError("'dims' must be two positive integers")
     mat = _parse_complex_matrix(obj["matrix"], "state file", text)
@@ -171,7 +167,7 @@ def parse_rows_document(text: str):
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(_is_int(d) and d >= 2 for d in dims)
+        or not all(_is_integer(d) and d >= 2 for d in dims)
     ):
         raise ParseError("'dims' must be two integers >= 2")
     rows = []
@@ -183,7 +179,7 @@ def parse_rows_document(text: str):
         values = entry["values"]
         if not isinstance(values, list) or len(values) != dims[1] ** 2:
             raise ParseError(f"row {i} must hold {dims[1] ** 2} values")
-        if not _is_int(entry["a_index"]) or not 0 <= entry["a_index"] < dims[0] ** 2:
+        if not _is_integer(entry["a_index"]) or not 0 <= entry["a_index"] < dims[0] ** 2:
             raise ParseError(f"row {i}: 'a_index' must be an integer in 0..{dims[0] ** 2 - 1}")
         vector = np.array([_number(v, f"row {i}, value {k}") for k, v in enumerate(values)])
         rows.append((entry["a_index"], vector))

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
-from .correlation import _expand, _rebuild
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
 from .linalg import _PAULI_STACK, PSD_ATOL, DensityMatrix, _as_matrix, _check_tolerances
-from .linalg import a_side_blocks
+from .linalg import _count_arg, _expand, _rebuild, a_side_blocks
 
 # Bell-diagonal tetrahedron vertices; 1 + t.v >= 0 for each vertex v is
 # exactly eigenvalue positivity of (1x1 + sum t_i sigma_i x sigma_i)/4.
@@ -198,6 +196,131 @@ def oracle_starts(restarts: int, seed: int) -> np.ndarray:
     return starts
 
 
+def chi_distance_sq(z, xv, yv, tmat):
+    """Squared Hilbert-Schmidt distance from the target Bloch triple
+    (xv, yv, tmat) to the zero-discord states encoded by the rows of z.
+
+    z has shape (N, 9) and the result shape (N,).  z[:, 0:2] are sphere
+    angles of the measured direction e, tanh(z[:, 2]) is the outcome bias
+    p1 - p2, and z[:, 3:6], z[:, 6:9] map into the unit ball as the Bloch
+    vectors of the two conditional states, so every z is physical.
+    """
+    zt = z.T
+    m = zt.shape[1]
+    sin = np.sin(zt[:2])
+    cos = np.cos(zt[:2])
+    t = np.tanh(zt[2])
+    p1 = 0.5 * (1.0 + t)
+    balls = zt[3:9].reshape(2, 3, m)
+    radius = np.sqrt((balls * balls).sum(axis=1))
+    weight = np.where(radius > 1e-12, np.tanh(radius) / np.maximum(radius, 1e-12), 1.0)
+    weight[0] *= p1
+    weight[1] *= 1.0 - p1
+    b1, b2 = balls * weight[:, None, :]  # p1 b1 and p2 b2
+
+    # model rows: t e, s+ = p1 b1 + p2 b2, then e_i s- for s- = p1 b1 - p2 b2
+    model = np.empty((5, 3, m))
+    e = model[0]
+    np.multiply(sin[0], cos[1], out=e[0])
+    np.multiply(sin[0], sin[1], out=e[1])
+    e[2] = cos[0]
+    np.multiply(e[:, None, :], b1 - b2, out=model[2:])
+    e *= t
+    np.add(b1, b2, out=model[1])
+    res = np.concatenate([xv, yv, np.ravel(tmat)])[:, None] - model.reshape(15, m)
+    return 0.25 * (res * res).sum(axis=0)
+
+
+def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float, settle: int = 0):
+    """Minimize ``fun`` from R initial simplices at once; returns (f, x).
+
+    ``sim`` has shape (R, n+1, n) with n >= 2, and ``fun`` maps an (m, n)
+    array of points to their (m,) values.  Each step sorts every simplex and
+    moves its p = max(1, n // 3) worst vertices, each through the centroid
+    of the n + 1 - p others (the parallel simplex of D. Lee and M. Wiswall,
+    Comput. Econ. 30, 171 (2007)), with the dimension-adapted coefficients
+    of F. Gao and L. Han (Comput. Optim. Appl. 51, 259 (2012)): reflection
+    1, expansion 1 + 2/n, contractions 3/4 - 1/(2n) outside and inside,
+    shrink 1 - 1/n.  One objective call evaluates every trial point of the
+    batch; it costs about the same numpy dispatch at 8 points as at 128,
+    which is why a step moves several vertices.  Each moved vertex expands
+    if its reflection beats the best vertex, keeps the reflection if that
+    beats the worst vertex not being moved, and otherwise contracts, outside
+    or inside, against its own value; a simplex shrinks towards its best
+    vertex only when none of its p moves was accepted.  At n = 2 this is the
+    classic single-vertex step with coefficients 1, 2, 1/2 and 1/2.
+
+    A simplex whose values span at most ``fatol`` and whose vertices lie
+    within ``xatol`` of its best one stops and stays frozen; the others run
+    for at most ``maxiter`` steps.  With ``settle=0`` simplices never
+    interact, so each result equals that start run alone.  With
+    ``settle > 0`` the whole batch stops once at least ``settle`` frozen
+    simplices have best values within ``fatol`` of the lowest frozen value
+    and no simplex, active or frozen, has a lower best vertex; simplices
+    still active then return where they stood.  Active simplices only go
+    down, so this can first hold on a step where one freezes.
+    f has shape (R,) and x shape (R, n): the best vertex of each simplex.
+    """
+    sim = np.array(sim, dtype=float)
+    r, n1, n = sim.shape
+    f = fun(sim.reshape(r * n1, n)).reshape(r, n1)
+    p = max(1, n // 3)
+    kept = n1 - p  # sorted vertices 0..kept-1 stay, kept..n move
+    contract = 0.75 - 0.5 / n
+    # trial points cen + c (vertex - cen): reflection, expansion, outside and
+    # inside contraction
+    coefs = np.array([-1.0, -(1.0 + 2.0 / n), -contract, contract])[:, None]
+    shrink_by = 1.0 - 1.0 / n
+    idx = np.arange(r)
+    rows = idx[:, None]
+    cols = np.arange(p)
+    # centroid of the kept vertices of a sorted simplex
+    weights = np.append(np.full(kept, 1.0 / kept), np.zeros(p))
+    active = np.ones(r, dtype=bool)
+    for _ in range(maxiter):
+        order = np.argsort(f, axis=1)
+        sim = sim[rows, order]
+        f = f[rows, order]
+        flat = active & (f[:, n] - f[:, 0] <= fatol)
+        if flat.any():
+            near = sim[flat]
+            active[flat] = np.abs(near - near[:, :1]).max(axis=(1, 2)) > xatol
+            if not active.any():
+                break
+            if settle and not active.all():
+                frozen = f[~active, 0]
+                low = frozen.min()
+                if np.count_nonzero(frozen <= low + fatol) >= settle and low <= f[:, 0].min():
+                    break
+        worst = sim[:, kept:]
+        fw = f[:, kept:]
+        cen = weights @ sim
+        trial = cen[:, None, None, :] + coefs * (worst - cen[:, None, :])[:, :, None, :]
+        ft = fun(trial.reshape(4 * r * p, n)).reshape(r, p, 4)
+        fr = ft[..., 0]
+        expand = fr < f[:, :1]
+        outside = fr < fw
+        # reflect; expand if that beat the best vertex; contract if it did
+        # not beat the worst kept vertex: outside when it beat the moved
+        # vertex, else inside
+        pick = np.where(
+            expand,
+            np.where(ft[..., 1] < fr, 1, 0),
+            np.where(fr < f[:, kept - 1 : kept], 0, np.where(outside, 2, 3)),
+        )
+        fnew = ft[rows, cols, pick]
+        accept = active[:, None] & ((pick < 2) | np.where(outside, fnew <= fr, fnew < fw))
+        sim[:, kept:] = np.where(accept[..., None], trial[rows, cols, pick], worst)
+        f[:, kept:] = np.where(accept, fnew, fw)
+        shrink = active & ~accept.any(axis=1)
+        if shrink.any():
+            s = np.flatnonzero(shrink)
+            sim[s, 1:] = sim[s, :1] + shrink_by * (sim[s, 1:] - sim[s, :1])
+            f[s, 1:] = fun(sim[s, 1:].reshape(-1, n)).reshape(s.size, n)
+    best = np.argmin(f, axis=1)
+    return f[idx, best], sim[idx, best]
+
+
 def geometric_discord_oracle(
     rho: DensityMatrix,
     restarts: int = 32,
@@ -212,22 +335,23 @@ def geometric_discord_oracle(
     which stops once two of them converge to the same minimum and none is
     lower, or after ``maxiter`` steps.
     """
+    restarts, maxiter = _count_arg("restarts", restarts), _count_arg("maxiter", maxiter)
     if restarts < 1:
         raise ValidationError(f"the oracle needs at least one restart, got {restarts}")
     if maxiter < 1:
         raise ValidationError(f"the oracle needs at least one simplex step, got maxiter={maxiter}")
     b = bloch_triple(rho)
-    starts = oracle_starts(restarts, seed)
+    starts = oracle_starts(restarts, _count_arg("seed", seed, 0))
     sim = starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
-    best, _ = _accel.nelder_mead(
-        lambda z: _accel.chi_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8, settle=2
+    best, _ = nelder_mead(
+        lambda z: chi_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8, settle=2
     )
     return float(best.min())
 
 
 def random_zero_discord_state(seed: int) -> DensityMatrix:
     """Seeded random sample from the two-qubit zero-discord family."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count_arg("seed", seed, 0))
     e = rng.standard_normal(3)
     e /= np.linalg.norm(e)
     p1 = rng.uniform(0.0, 1.0)

@@ -44,6 +44,25 @@ def _check_tolerances(**tolerances: float) -> None:
             raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _count_arg(name: str, value, least: float = -np.inf) -> int:
+    """``value`` as an int >= least; integral floats such as 2048.0 pass, booleans do not.
+
+    Without ``least`` only the type is checked, for a caller with its own range error.
+    """
+    whole = _is_integer(value) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    if not whole:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"need {name} >= {least}, got {value!r}")
+    return int(value)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
@@ -68,6 +87,8 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _frozen(self.mat)
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "dim_a", _count_arg("dim_a", self.dim_a))
+        object.__setattr__(self, "dim_b", _count_arg("dim_b", self.dim_b))
         d = self.dim_a * self.dim_b
         if self.dim_a < 1 or self.dim_b < 1:
             raise DimensionError("subsystem dimensions must be >= 1")
@@ -161,6 +182,20 @@ def a_side_sum(ops: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return m.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
+def _expand(rho: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
+    """Real coefficients r_nm = Tr[rho (A_n x B_m)] over two stacks of Hermitian operators."""
+    half = a_side_blocks(rho, ops_a)
+    # The sum over (b', b) is one BLAS product of the flattened half[n, b', b] and B_m[b', b].
+    n_a, n_b = len(ops_a), len(ops_b)
+    return (half.transpose(0, 2, 1).reshape(n_a, -1) @ ops_b.reshape(n_b, -1).T).real
+
+
+def _rebuild(r: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
+    """The matrix sum_nm r_nm A_n x B_m; for orthonormal stacks the inverse of _expand."""
+    n_b, d_b = len(ops_b), ops_b.shape[1]
+    return a_side_sum(ops_a, (r @ ops_b.reshape(n_b, -1)).reshape(-1, d_b, d_b))
+
+
 def swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
     """Exchange the roles of A and B."""
     t = rho.blocks().transpose(1, 0, 3, 2)
@@ -172,15 +207,22 @@ def eig_hermitian(h, atol: float = 1e-9) -> Spectrum:
     _check_tolerances(atol=atol)
     mat = _as_matrix(h)
     defect = np.linalg.norm(mat - mat.conj().T)
-    if defect > atol:
+    if not defect <= atol:  # written so that NaN fails
         raise NonHermitianError(f"Hermiticity defect {defect:.3e} exceeds {atol:.1e}")
     w, v = np.linalg.eigh(mat)
     return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy -Tr(rho log2 rho) in bits; eigenvalues below 1e-12 contribute 0."""
-    w = np.linalg.eigvalsh(_as_matrix(rho))
+    """Entropy -Tr(rho log2 rho) in bits; eigenvalues below 1e-12 contribute 0.
+
+    A non-finite entry raises ValidationError: eigvalsh does not always pass a
+    NaN on (it returns (0, -0) for diag(NaN, 1)), so the matrix is checked.
+    """
+    mat = _as_matrix(rho)
+    if not np.isfinite(mat).all():
+        raise ValidationError("entropy needs a matrix of finite entries")
+    w = np.linalg.eigvalsh(mat)
     w = w[w > ENTROPY_EIG_FLOOR]
     return float(-np.sum(w * np.log2(w))) + 0.0  # + 0.0 folds -0.0 into 0.0
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
 from .geometric import state_from_bloch, tetrahedron_contains
-from .linalg import DensityMatrix, a_side_blocks, a_side_sum
+from .linalg import DensityMatrix, _count_arg, a_side_blocks, a_side_sum
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -96,10 +96,11 @@ def classical_quantum_state(p, kets, states) -> DensityMatrix:
 
 def random_density_matrix(dim_a: int, dim_b: int, seed: int) -> DensityMatrix:
     """Full-rank random state G G† / Tr(G G†) from a seeded complex Ginibre G."""
+    dim_a, dim_b = _count_arg("dim_a", dim_a), _count_arg("dim_b", dim_b)
     if dim_a < 2 or dim_b < 2:
         raise DimensionError("subsystem dimensions must be >= 2")
     d = dim_a * dim_b
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count_arg("seed", seed, 0))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     mat = g @ g.conj().T
     return DensityMatrix(mat / np.trace(mat).real, dim_a, dim_b)
@@ -107,9 +108,10 @@ def random_density_matrix(dim_a: int, dim_b: int, seed: int) -> DensityMatrix:
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
     """Haar-distributed d x d unitary via phase-fixed QR of a Ginibre matrix."""
+    d = _count_arg("d", d)
     if d < 1:
         raise DimensionError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count_arg("seed", seed, 0))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()

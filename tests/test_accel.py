@@ -1,3 +1,8 @@
+"""Tests of the numeric kernels: the oracle's batched Nelder-Mead and its
+9-parameter objective (in ``qdiscord.geometric``), and the measurement-direction
+entropy scan (in ``qdiscord.entropic``).
+"""
+
 import os
 import subprocess
 import sys
@@ -6,8 +11,8 @@ import numpy as np
 import pytest
 
 import qdiscord as qd
-from qdiscord import _accel
-from qdiscord.entropic import fibonacci_sphere
+from qdiscord.entropic import conditional_entropy_scan, fibonacci_sphere
+from qdiscord.geometric import chi_distance_sq, nelder_mead
 from qdiscord.linalg import _PAULI_STACK, a_side_blocks
 from sphere_simplex import _angles_to_dir, _initial_simplices
 
@@ -22,7 +27,7 @@ def test_scan_matches_conditional_ensemble(dims):
     rho = qd.random_density_matrix(*dims, seed=dims[1])
     g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
     dirs = fibonacci_sphere(33)
-    values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
+    values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
     for e, value in zip(dirs, values):
         ens = qd.conditional_ensemble(rho, qd.MeasurementA.from_direction(e))
         expected = sum(p * qd.von_neumann_entropy(s) for p, s in zip(ens.probs, ens.states))
@@ -32,7 +37,7 @@ def test_scan_matches_conditional_ensemble(dims):
 def test_scan_handles_pure_outcomes(bell):
     g0, gx, gy, gz = a_side_blocks(bell, _PAULI_STACK)
     dirs = fibonacci_sphere(64)
-    values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
+    values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
     # any measurement on one half of a Bell state leaves B pure
     assert np.abs(values).max() <= 1e-10
 
@@ -45,8 +50,8 @@ def test_scan_is_even_in_the_direction(dims):
         rho = qd.random_density_matrix(*dims, seed=40 + seed)
         g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
         dirs = fibonacci_sphere(257)
-        values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
-        assert np.array_equal(_accel.conditional_entropy_scan(g0, gx, gy, gz, -dirs), values)
+        values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
+        assert np.array_equal(conditional_entropy_scan(g0, gx, gy, gz, -dirs), values)
 
 
 def test_chi_distance_matches_state_distance():
@@ -55,7 +60,7 @@ def test_chi_distance_matches_state_distance():
     b = qd.bloch_triple(rho)
     z = rng.standard_normal((50, 9))
     z[0, 3:6] = 0.0  # a conditional state at the centre of the ball
-    values = _accel.chi_distance_sq(z, b.x, b.y, b.corr)
+    values = chi_distance_sq(z, b.x, b.y, b.corr)
     assert values.shape == (50,)
 
     def ball(v):
@@ -83,12 +88,12 @@ def test_batched_simplices_do_not_interact():
     b = qd.bloch_triple(qd.random_density_matrix(2, 2, 21))
 
     def fun(z):
-        return _accel.chi_distance_sq(z, b.x, b.y, b.corr)
+        return chi_distance_sq(z, b.x, b.y, b.corr)
 
     sim = _oracle_simplices(6, 2)
-    f_batch, x_batch = _accel.nelder_mead(fun, sim, 400, 1e-13, 1e-8)
+    f_batch, x_batch = nelder_mead(fun, sim, 400, 1e-13, 1e-8)
     for k in range(len(sim)):
-        f_alone, x_alone = _accel.nelder_mead(fun, sim[k : k + 1], 400, 1e-13, 1e-8)
+        f_alone, x_alone = nelder_mead(fun, sim[k : k + 1], 400, 1e-13, 1e-8)
         assert f_alone[0] == f_batch[k]
         assert np.array_equal(x_alone[0], x_batch[k])
 
@@ -104,13 +109,13 @@ def test_simplex_freezes_converged_starts():
         return np.where(x[:, 0] > 50.0, -x[:, 0], ((x - 0.3) ** 2).sum(axis=1))
 
     sim = _initial_simplices(np.array([[1.0, -2.0], [100.0, 1.0]]))
-    f_alone, x_alone = _accel.nelder_mead(fun, sim[:1], 300, 1e-13, 1e-10)
+    f_alone, x_alone = nelder_mead(fun, sim[:1], 300, 1e-13, 1e-10)
     steps_alone = len(calls) - 1
     assert steps_alone < 300  # stopped early: converged
     np.testing.assert_allclose(x_alone[0], 0.3, atol=1e-9)
 
     calls.clear()
-    f_batch, x_batch = _accel.nelder_mead(fun, sim, 300, 1e-13, 1e-10)
+    f_batch, x_batch = nelder_mead(fun, sim, 300, 1e-13, 1e-10)
     assert len(calls) - 1 >= 300  # the ramp never converges
     assert f_batch[0] == f_alone[0]
     assert np.array_equal(x_batch[0], x_alone[0])
@@ -129,7 +134,7 @@ def _counted(fun):
 
 def _oracle_objective(seed):
     b = qd.bloch_triple(qd.random_density_matrix(2, 2, seed))
-    return lambda z: _accel.chi_distance_sq(z, b.x, b.y, b.corr)
+    return lambda z: chi_distance_sq(z, b.x, b.y, b.corr)
 
 
 def test_settle_stops_oracle_early_with_same_minimum():
@@ -137,8 +142,8 @@ def test_settle_stops_oracle_early_with_same_minimum():
     for seed in range(5):  # criterion 03's first states
         full, full_calls = _counted(_oracle_objective(seed))
         settled, settled_calls = _counted(_oracle_objective(seed))
-        f_full, _ = _accel.nelder_mead(full, sim, 1500, 1e-13, 1e-8)
-        f_settled, _ = _accel.nelder_mead(settled, sim, 1500, 1e-13, 1e-8, settle=2)
+        f_full, _ = nelder_mead(full, sim, 1500, 1e-13, 1e-8)
+        f_settled, _ = nelder_mead(settled, sim, 1500, 1e-13, 1e-8, settle=2)
         assert len(settled_calls) < len(full_calls)
         assert abs(f_settled.min() - f_full.min()) <= 1e-15
 
@@ -162,8 +167,8 @@ def _three_basins(gap, floor):
 def _run_both(fun, sim, maxiter=2000):
     plain, plain_calls = _counted(fun)
     settled, settled_calls = _counted(fun)
-    f0, x0 = _accel.nelder_mead(plain, sim, maxiter, 1e-13, 1e-10)
-    f2, x2 = _accel.nelder_mead(settled, sim, maxiter, 1e-13, 1e-10, settle=2)
+    f0, x0 = nelder_mead(plain, sim, maxiter, 1e-13, 1e-10)
+    f2, x2 = nelder_mead(settled, sim, maxiter, 1e-13, 1e-10, settle=2)
     return (f0, x0, len(plain_calls)), (f2, x2, len(settled_calls))
 
 
@@ -213,7 +218,7 @@ def test_oracle_batches_stop_before_maxiter(restarts, seed):
     runs = []
     for maxiter in (1500, 3000):
         fun, calls = _counted(_oracle_objective(seed))
-        f, x = _accel.nelder_mead(fun, sim, maxiter, 1e-13, 1e-8, settle=2)
+        f, x = nelder_mead(fun, sim, maxiter, 1e-13, 1e-8, settle=2)
         runs.append((f, x, len(calls)))
     (f0, x0, calls0), (f1, x1, calls1) = runs
     assert calls0 == calls1 < 1500
@@ -235,7 +240,7 @@ def test_simplex_converges_on_a_9d_quadratic():
     fun, calls = _counted(quadratic)
     starts = 3.0 * rng.standard_normal((4, 9))
     sim = starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
-    f, x = _accel.nelder_mead(fun, sim, 3000, 1e-13, 1e-8)
+    f, x = nelder_mead(fun, sim, 3000, 1e-13, 1e-8)
     assert len(calls) - 1 < 3000  # every simplex froze before maxiter
     assert np.abs(x - xmin).max() <= 1e-6
     assert f.max() <= 1e-12
@@ -251,13 +256,13 @@ def test_entropic_refinement_matches_scipy():
     ):
         g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
         dirs = fibonacci_sphere(qd.entropic.GRID_POINTS)
-        values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
+        values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
         order = np.argsort(values, kind="stable")
         best = float(values[order[0]])
 
         def objective(angles):
             return float(
-                _accel.conditional_entropy_scan(g0, gx, gy, gz, _angles_to_dir(angles)[None])[0]
+                conditional_entropy_scan(g0, gx, gy, gz, _angles_to_dir(angles)[None])[0]
             )
 
         for e in dirs[order[: qd.entropic.REFINE_STARTS]]:
@@ -280,7 +285,7 @@ def test_refine_starts_zero_returns_grid_result():
     for seed in (5, 6):
         rho = qd.random_density_matrix(2, 2, seed)
         g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
-        values = _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
+        values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
         res = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=0)
         assert res.min_conditional_entropy == float(values.min())
         assert np.array_equal(res.best_direction, dirs[int(np.argmin(values))])

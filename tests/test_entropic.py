@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
-from qdiscord import _accel
-from qdiscord.entropic import GRID_POINTS, REFINE_ITERS, REFINE_STARTS
+from qdiscord.entropic import GRID_POINTS, REFINE_ITERS, REFINE_STARTS, conditional_entropy_scan
+from qdiscord.geometric import nelder_mead
 from qdiscord.linalg import _PAULI_STACK, ID2, a_side_blocks
 from sphere_simplex import _angles_to_dir, _initial_simplices
 
@@ -78,7 +78,7 @@ class _CountedScan:
     def __call__(self, g0, gx, gy, gz, dirs):
         self.calls += 1
         self.points += len(dirs)
-        return _accel.conditional_entropy_scan(g0, gx, gy, gz, dirs)
+        return conditional_entropy_scan(g0, gx, gy, gz, dirs)
 
 
 def _full_sphere_minimum(rho, scan):
@@ -91,7 +91,7 @@ def _full_sphere_minimum(rho, scan):
     angles = np.column_stack(
         [np.arccos(np.clip(starts[:, 2], -1.0, 1.0)), np.arctan2(starts[:, 1], starts[:, 0])]
     )
-    refined, _ = _accel.nelder_mead(
+    refined, _ = nelder_mead(
         lambda a: scan(g0, gx, gy, gz, _angles_to_dir(a)),
         _initial_simplices(angles),
         REFINE_ITERS,
@@ -288,7 +288,7 @@ class TestClassicalCorrelation:
         def refuse(*args, **kwargs):
             raise AssertionError("nelder_mead called")
 
-        monkeypatch.setattr(_accel, "nelder_mead", refuse)
+        monkeypatch.setattr(qd.geometric, "nelder_mead", refuse)
         monkeypatch.setattr(qd.entropic, "nelder_mead", refuse, raising=False)
         rho = qd.random_density_matrix(2, 3, 31)
         assert 0.0 < qd.entropic_discord(rho) <= 1.0

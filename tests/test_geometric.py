@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
-from qdiscord._accel import nelder_mead
+from qdiscord.geometric import nelder_mead
 from sphere_simplex import _angles_to_dir
 
 

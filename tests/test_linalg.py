@@ -277,3 +277,66 @@ class TestCommutatorNorm:
     def test_dim_mismatch(self):
         with pytest.raises(qd.DimensionError):
             qd.commutator_norm(np.eye(2), np.eye(3))
+
+
+_NAN_ENTRY = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: qd.HermitianBasis(2, np.full((4, 2, 2), np.nan)), qd.NonHermitianError),
+        (lambda: qd.expand(_NAN_ENTRY, qd.gell_mann_basis(2)), qd.NonHermitianError),
+        (lambda: qd.eig_hermitian(_NAN_ENTRY), qd.NonHermitianError),
+        (lambda: qd.von_neumann_entropy(_NAN_ENTRY), qd.ValidationError),
+        (lambda: qd.von_neumann_entropy(np.diag([np.inf, 1.0])), qd.ValidationError),
+    ],
+    ids=["basis", "expand", "eig_hermitian", "entropy-nan", "entropy-inf"],
+)
+def test_nan_fails_every_check(call, error):
+    with pytest.raises(error):
+        call()
+
+
+_BELL = qd.bell_state(0)
+_U4 = qd.random_unitary(4, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: qd.geometric_discord_oracle(_BELL, restarts=1.5), "restarts must be an"),
+        (lambda: qd.geometric_discord_oracle(_BELL, restarts=True), "restarts must be an"),
+        (lambda: qd.geometric_discord_oracle(_BELL, maxiter=2.5), "maxiter must be an"),
+        (lambda: qd.geometric_discord_oracle(_BELL, seed=-1), "need seed >= 0"),
+        (lambda: qd.dqc1_sample_trace(qd.Dqc1Instance(2, 1.0, _U4), 2.5, 0), "samples must be an"),
+        (lambda: qd.dqc1_sample_trace(qd.Dqc1Instance(2, 1.0, _U4), 10, -1), "need seed >= 0"),
+        (lambda: qd.Dqc1Instance(n=True, alpha=1.0, unitary=np.eye(2)), "n must be an"),
+        (lambda: qd.Dqc1Instance(n=2.5, alpha=1.0, unitary=_U4), "n must be an"),
+        (lambda: qd.DensityMatrix(np.eye(4) / 4, 2.5, 2), "dim_a must be an"),
+        (lambda: qd.DensityMatrix(np.eye(4) / 4, 2, "2"), "dim_b must be an"),
+        (lambda: qd.random_density_matrix(2.5, 2, 0), "dim_a must be an"),
+        (lambda: qd.random_density_matrix(2, 2, -1), "need seed >= 0"),
+        (lambda: qd.random_unitary(2.5, 0), "d must be an"),
+        (lambda: qd.random_unitary(2, 1.5), "seed must be an"),
+        (lambda: qd.gell_mann_basis(2.5), "d must be an"),
+        (lambda: qd.random_zero_discord_state(-1), "need seed >= 0"),
+        (lambda: qd.Dqc1Instance(n=2.0, alpha=1.0, unitary=_U4).n, None),
+        (lambda: qd.DensityMatrix(np.eye(4) / 4, 2.0, np.int64(2)).dim, None),
+    ],
+    ids=[
+        "oracle-restarts-fraction", "oracle-restarts-bool", "oracle-maxiter", "oracle-seed",
+        "samples", "sample-seed", "n-bool", "n-fraction", "dim_a", "dim_b-str",
+        "random-state-dim", "random-state-seed", "unitary-dim", "unitary-seed", "gell-mann-d",
+        "zero-discord-seed", "n-integral-float", "dims-integral-float",
+    ],
+)
+def test_counts_and_seeds_are_integers(call, message):
+    """A count or seed that is not an integer, or a negative seed, is a named error;
+    an integral float such as 2.0 is accepted and kept as an int."""
+    if message is None:
+        value = call()
+        assert type(value) is int
+    else:
+        with pytest.raises(qd.ValidationError, match=f"^{message}"):
+            call()
