@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import (
-    _PAULI_STACK, ENTROPY_EIG_FLOOR, OUTCOME_FLOOR, DensityMatrix, _count_arg, a_side_blocks,
-    partial_trace, von_neumann_entropy,
+    _PAULI_STACK, ENTROPY_EIG_FLOOR, OUTCOME_FLOOR, DensityMatrix, _count_arg, _entropy,
+    a_side_blocks, partial_trace,
 )
 
 GRID_POINTS = 2048
@@ -95,11 +95,11 @@ def conditional_ensemble(rho: DensityMatrix, m: MeasurementA) -> ConditionalEnse
 
 def mutual_information(rho: DensityMatrix) -> float:
     """I = H(A) + H(B) - H(AB) in bits."""
-    return (
-        von_neumann_entropy(partial_trace(rho, "A"))
-        + von_neumann_entropy(partial_trace(rho, "B"))
-        - von_neumann_entropy(rho)
+    h_a, h_b, h_ab = (
+        _entropy(np.linalg.eigvalsh(m))
+        for m in (partial_trace(rho, "A"), partial_trace(rho, "B"), rho.mat)
     )
+    return h_a + h_b - h_ab
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -275,7 +275,7 @@ def classical_correlation_qa(
         i = int(np.argmin(refined))
         best_val, best_dir = float(refined[i]), ends[i]
 
-    h_b = von_neumann_entropy(g0)
+    h_b = _entropy(np.linalg.eigvalsh(g0))
     return ClassicalCorrelationResult(
         value=h_b - best_val + 0.0,
         best_direction=best_dir,

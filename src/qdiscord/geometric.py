@@ -205,30 +205,30 @@ def chi_distance_sq(z, xv, yv, tmat):
     p1 - p2, and z[:, 3:6], z[:, 6:9] map into the unit ball as the Bloch
     vectors of the two conditional states, so every z is physical.
     """
-    zt = z.T
+    zt = np.ascontiguousarray(z.T)
     m = zt.shape[1]
     sin = np.sin(zt[:2])
     cos = np.cos(zt[:2])
     t = np.tanh(zt[2])
-    p1 = 0.5 * (1.0 + t)
-    balls = zt[3:9].reshape(2, 3, m)
-    radius = np.sqrt((balls * balls).sum(axis=1))
-    weight = np.where(radius > 1e-12, np.tanh(radius) / np.maximum(radius, 1e-12), 1.0)
-    weight[0] *= p1
-    weight[1] *= 1.0 - p1
-    b1, b2 = balls * weight[:, None, :]  # p1 b1 and p2 b2
+    sq = zt[3:9] ** 2
+    radius = np.maximum(np.sqrt(sq[::3] + sq[1::3] + sq[2::3]), 1e-12)
+    weight = np.tanh(radius) / radius  # exactly 1 at the clamp
+    weight[0] *= 0.5 + 0.5 * t
+    weight[1] *= 0.5 - 0.5 * t
+    b1, b2 = zt[3:9].reshape(2, 3, m) * weight[:, None]  # p1 b1 and p2 b2
 
     # model rows: t e, s+ = p1 b1 + p2 b2, then e_i s- for s- = p1 b1 - p2 b2
-    model = np.empty((5, 3, m))
-    e = model[0]
+    model = np.empty((15, m))
+    e = model[:3]
     np.multiply(sin[0], cos[1], out=e[0])
     np.multiply(sin[0], sin[1], out=e[1])
     e[2] = cos[0]
-    np.multiply(e[:, None, :], b1 - b2, out=model[2:])
+    np.multiply(e[:, None], b1 - b2, out=model[6:].reshape(3, 3, m))
     e *= t
-    np.add(b1, b2, out=model[1])
-    res = np.concatenate([xv, yv, np.ravel(tmat)])[:, None] - model.reshape(15, m)
-    return 0.25 * (res * res).sum(axis=0)
+    np.add(b1, b2, out=model[3:6])
+    model -= np.concatenate([xv, yv, np.ravel(tmat)])[:, None]
+    model *= model
+    return 0.25 * model.sum(axis=0)
 
 
 def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float, settle: int = 0):
@@ -267,15 +267,15 @@ def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float, settle: int 
     p = max(1, n // 3)
     kept = n1 - p  # sorted vertices 0..kept-1 stay, kept..n move
     contract = 0.75 - 0.5 / n
-    # trial points cen + c (vertex - cen): reflection, expansion, outside and
-    # inside contraction
     coefs = np.array([-1.0, -(1.0 + 2.0 / n), -contract, contract])[:, None]
     shrink_by = 1.0 - 1.0 / n
     idx = np.arange(r)
     rows = idx[:, None]
-    cols = np.arange(p)
-    # centroid of the kept vertices of a sorted simplex
-    weights = np.append(np.full(kept, 1.0 / kept), np.zeros(p))
+    # trial point k (reflect, expand, contract out or in) of moved vertex j,
+    # cen + c_k (v_j - cen) with cen the kept vertices' centroid, is row
+    # 4j + k of mix @ sorted simplex
+    mix = np.hstack([np.tile((1.0 - coefs) / kept, (p, kept)), np.kron(np.eye(p), coefs)])
+    row4j = 4 * (p * rows + np.arange(p))
     active = np.ones(r, dtype=bool)
     for _ in range(maxiter):
         order = np.argsort(f, axis=1)
@@ -294,9 +294,8 @@ def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float, settle: int 
                     break
         worst = sim[:, kept:]
         fw = f[:, kept:]
-        cen = weights @ sim
-        trial = cen[:, None, None, :] + coefs * (worst - cen[:, None, :])[:, :, None, :]
-        ft = fun(trial.reshape(4 * r * p, n)).reshape(r, p, 4)
+        trial = (mix @ sim).reshape(-1, n)
+        ft = fun(trial).reshape(r, p, 4)
         fr = ft[..., 0]
         expand = fr < f[:, :1]
         outside = fr < fw
@@ -308,9 +307,9 @@ def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float, settle: int 
             np.where(ft[..., 1] < fr, 1, 0),
             np.where(fr < f[:, kept - 1 : kept], 0, np.where(outside, 2, 3)),
         )
-        fnew = ft[rows, cols, pick]
+        fnew = ft.ravel()[row4j + pick]
         accept = active[:, None] & ((pick < 2) | np.where(outside, fnew <= fr, fnew < fw))
-        sim[:, kept:] = np.where(accept[..., None], trial[rows, cols, pick], worst)
+        sim[:, kept:] = np.where(accept[..., None], trial[row4j + pick], worst)
         f[:, kept:] = np.where(accept, fnew, fw)
         shrink = active & ~accept.any(axis=1)
         if shrink.any():

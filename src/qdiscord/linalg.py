@@ -216,13 +216,33 @@ def eig_hermitian(h, atol: float = 1e-9) -> Spectrum:
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr(rho log2 rho) in bits; eigenvalues below 1e-12 contribute 0.
 
-    A non-finite entry raises ValidationError: eigvalsh does not always pass a
-    NaN on (it returns (0, -0) for diag(NaN, 1)), so the matrix is checked.
+    rho must be a square matrix (DimensionError) of finite entries, Hermitian
+    within HERMITIAN_ATOL (NonHermitianError; eigvalsh reads one triangle
+    only) and without an eigenvalue below -PSD_ATOL (ValidationError).  The
+    entries are checked first, since eigvalsh does not always pass a NaN on
+    (it returns (0, -0) for diag(NaN, 1)).  The trace is not checked.
     """
     mat = _as_matrix(rho)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionError(f"entropy needs a square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValidationError("entropy needs a matrix of finite entries")
+    defect = np.linalg.norm(mat - mat.conj().T)
+    if not defect <= HERMITIAN_ATOL:  # written so that NaN fails
+        raise NonHermitianError(f"not Hermitian: defect {defect:.3e}")
     w = np.linalg.eigvalsh(mat)
+    wmin = float(np.min(w, initial=0.0))  # 0.0 for a 0 x 0 matrix
+    if not wmin >= -PSD_ATOL:
+        raise ValidationError(f"not positive semidefinite: min eigenvalue {wmin:.3e}")
+    return _entropy(w)
+
+
+def _entropy(w) -> float:
+    """-sum w log2 w in bits over the eigenvalues w above ENTROPY_EIG_FLOOR, unchecked.
+
+    For marginals of a validated state: Tr_A of a state whose eigenvalues reach
+    -PSD_ATOL can reach -d_A PSD_ATOL, which von_neumann_entropy refuses.
+    """
     w = w[w > ENTROPY_EIG_FLOOR]
     return float(-np.sum(w * np.log2(w))) + 0.0  # + 0.0 folds -0.0 into 0.0
 

@@ -82,13 +82,13 @@ def classical_quantum_state(p, kets, states) -> DensityMatrix:
         raise ValidationError("p, kets and states must have equal lengths")
     if any(m.ndim != 2 or m.shape != mats[0].shape[:1] * 2 for m in mats):
         raise DimensionError(f"B states must be square and of one size, got {[m.shape for m in mats]}")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-10:
-        raise ValidationError(f"probabilities must be nonnegative and sum to 1, got {p.tolist()}")
+    if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-10):  # written so that NaN fails
+        raise ValidationError(f"p must be nonnegative and sum to 1, got {p.tolist()}")
     dim_a = kets[0].shape[0]
     if len(p) > dim_a:
         raise ValidationError(f"at most {dim_a} orthonormal kets fit in dimension {dim_a}")
     gram = np.array([[np.vdot(u, v) for v in kets] for u in kets])
-    if np.abs(gram - np.eye(len(kets))).max() > 1e-10:
+    if not np.abs(gram - np.eye(len(kets))).max() <= 1e-10:
         raise ValidationError("kets are not orthonormal")
     ops_a = np.stack([pk * projector(ket) for pk, ket in zip(p, kets)])
     return DensityMatrix(a_side_sum(ops_a, np.stack(mats)), dim_a, mats[0].shape[0])
@@ -130,7 +130,7 @@ def measure_prepare_channel_a(rho: DensityMatrix, kets) -> DensityMatrix:
     kets = [np.asarray(k, dtype=complex) for k in kets]
     if len(kets) != 2 or any(k.shape != (2,) for k in kets):
         raise ValidationError("need exactly two single-qubit kets")
-    if any(abs(np.linalg.norm(k) - 1.0) > 1e-10 for k in kets):
-        raise ValidationError("replacement kets must be normalized")
+    if not all(abs(np.linalg.norm(k) - 1.0) <= 1e-10 for k in kets):  # written so that NaN fails
+        raise ValidationError("kets must be normalized")
     diagonal = a_side_blocks(rho, np.stack([projector(KET0), projector(KET1)]))
     return DensityMatrix(a_side_sum(np.stack([projector(k) for k in kets]), diagonal), 2, rho.dim_b)

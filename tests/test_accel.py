@@ -77,6 +77,48 @@ def test_chi_distance_matches_state_distance():
         assert val == pytest.approx(qd.hs_distance_sq(rho, chi), abs=1e-12)
 
 
+def test_chi_distance_bits_do_not_depend_on_memory_layout():
+    b = qd.bloch_triple(qd.random_density_matrix(2, 2, 31))
+    z = np.random.default_rng(6).standard_normal((80, 9))
+    wide = np.random.default_rng(7).standard_normal((160, 9))
+    wide[::2] = z  # wide[::2] is z as a row slice with a stride of two rows
+    values = chi_distance_sq(z, b.x, b.y, b.corr)
+    for other in (np.asfortranarray(z), wide[::2]):
+        assert np.array_equal(chi_distance_sq(other, b.x, b.y, b.corr), values)
+
+
+def test_ball_weight_is_one_at_the_radius_clamp():
+    # chi_distance_sq clamps the ball radius at 1e-12 and takes tanh(r)/r
+    # without a case for r = 0; that holds only while this ratio is exactly 1
+    assert np.tanh(1e-12) / 1e-12 == 1.0
+    assert np.array_equal(np.tanh(np.full(5, 1e-12)) / 1e-12, np.ones(5))
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_trial_points_are_the_centroid_formula(n):
+    # one step of nelder_mead evaluates cen + c (v - cen) for each moved
+    # vertex v and each c of reflection, expansion and both contractions
+    rng = np.random.default_rng(n)
+    sim = 10.0 * rng.standard_normal((5, n + 1, n)) + 100.0
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        return (x * x).sum(axis=1) + x[:, 0]
+
+    nelder_mead(fun, sim, 1, -1.0, -1.0)
+    order = np.argsort(fun(seen[0]).reshape(5, n + 1), axis=1)
+    ordered = np.take_along_axis(sim, order[..., None], axis=1)
+    p = max(1, n // 3)
+    cen = ordered[:, : n + 1 - p].mean(axis=1)[:, None, None, :]
+    contract = 0.75 - 0.5 / n
+    coefs = np.array([-1.0, -(1.0 + 2.0 / n), -contract, contract])[:, None]
+    expected = cen + coefs * (ordered[:, n + 1 - p :, None, :] - cen)
+    got = seen[1].reshape(5, p, 4, n)
+    atol = 8.0 * np.finfo(float).eps * np.abs(sim).max()
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=atol)
+
+
 def test_oracle_search_deterministic():
     rho = qd.random_density_matrix(2, 2, 13)
     a = qd.geometric_discord_oracle(rho, restarts=8, maxiter=800)

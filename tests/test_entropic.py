@@ -216,6 +216,17 @@ class TestMutualInformation:
             info = qd.mutual_information(rho)
             assert -1e-10 <= info <= 2 * min(1.0, np.log2(3)) + 1e-10
 
+    def test_state_at_the_psd_boundary(self):
+        # min eigenvalue -PSD_ATOL is accepted; its B marginal has -2 PSD_ATOL,
+        # which von_neumann_entropy refuses on its own, but the marginal of a
+        # validated state is not checked again
+        eps = qd.linalg.PSD_ATOL
+        rho = qd.DensityMatrix(np.diag([1.0 + 2.0 * eps, -eps, 0.0, -eps]), 2, 2)
+        with pytest.raises(qd.ValidationError):
+            qd.von_neumann_entropy(qd.partial_trace(rho, "B"))
+        assert abs(qd.mutual_information(rho)) <= 1e-9
+        assert abs(qd.entropic_discord(rho)) <= 1e-9
+
 
 class TestPauliBlocks:
     @pytest.mark.parametrize("dim_b", [2, 3, 4])

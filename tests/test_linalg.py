@@ -231,6 +231,28 @@ class TestEntropy:
             split = qd.von_neumann_entropy(mats[0]) + qd.von_neumann_entropy(mats[1])
             assert joint == pytest.approx(split, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "mat, error",
+        [
+            # eigvalsh reads the lower triangle only: these read 1.0 and -0.877 bits
+            ([[0.5, 1.0], [0.0, 0.5]], qd.NonHermitianError),
+            ([[0.5, 0.0], [1.0, 0.5]], qd.NonHermitianError),
+            ([[1.0 + 2e-10, 0.0], [0.0, -2e-10]], qd.ValidationError),
+            (np.eye(2, 3) / 2, qd.DimensionError),
+        ],
+        ids=["upper", "lower", "past-psd-atol", "not-square"],
+    )
+    def test_refuses_matrices_that_are_not_states(self, mat, error):
+        with pytest.raises(error):
+            qd.von_neumann_entropy(np.array(mat))
+
+    def test_accepts_matrices_at_the_tolerances(self):
+        # min eigenvalue -PSD_ATOL; Hermiticity defect 0.99 HERMITIAN_ATOL
+        edge = np.diag([1.0 + 1e-10, -1e-10])
+        assert qd.von_neumann_entropy(edge) == pytest.approx(0.0, abs=1e-9)
+        skew = np.array([[0.5, 0.7e-10], [0.0, 0.5]])
+        assert qd.von_neumann_entropy(skew) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestHsInner:
     def test_orthogonal_paulis(self):

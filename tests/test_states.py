@@ -168,6 +168,19 @@ class TestClassicalQuantum:
         with pytest.raises(qd.DimensionError, match=shapes):
             qd.classical_quantum_state(p, kets, states)
 
+    @pytest.mark.parametrize(
+        "p, kets, match",
+        [
+            ([np.nan, 1.0], [[1, 0], [0, 1]], "^p must"),
+            ([0.5, 0.5], [[np.nan, 0], [0, 1]], "^kets are not orthonormal"),
+        ],
+        ids=["p", "kets"],
+    )
+    def test_nan_is_refused_by_argument(self, p, kets, match):
+        kets = [np.array(k, dtype=complex) for k in kets]
+        with pytest.raises(qd.ValidationError, match=match):
+            qd.classical_quantum_state(p, kets, [ID2 / 2, ID2 / 2])
+
 
 class TestRandomGenerators:
     def test_density_matrix_valid_and_reproducible(self):
@@ -222,3 +235,8 @@ class TestMeasurePrepareChannel:
         rho = qd.random_density_matrix(2, 2, 9)
         with pytest.raises(qd.ValidationError):
             qd.measure_prepare_channel_a(rho, [np.array([1, 1]), np.array([0, 1])])
+
+    def test_nan_ket_is_refused_by_argument(self):
+        rho = qd.random_density_matrix(2, 2, 9)
+        with pytest.raises(qd.ValidationError, match="^kets must be normalized"):
+            qd.measure_prepare_channel_a(rho, [np.array([np.nan, 0]), np.array([0, 1])])
