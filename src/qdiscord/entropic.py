@@ -94,12 +94,17 @@ def conditional_ensemble(rho: DensityMatrix, m: MeasurementA) -> ConditionalEnse
 
 
 def mutual_information(rho: DensityMatrix) -> float:
-    """I = H(A) + H(B) - H(AB) in bits."""
+    """I = H(A) + H(B) - H(AB) in bits, clamped at zero against float noise.
+
+    A state accepted at the PSD tolerance can have eigenvalues between
+    -PSD_ATOL and the entropy floor, which each entropy drops, so the raw
+    sum can fall below zero by about that tolerance.
+    """
     h_a, h_b, h_ab = (
         _entropy(np.linalg.eigvalsh(m))
         for m in (partial_trace(rho, "A"), partial_trace(rho, "B"), rho.mat)
     )
-    return h_a + h_b - h_ab
+    return max(0.0, h_a + h_b - h_ab)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -130,6 +135,29 @@ def conditional_entropy_scan(g0, gx, gy, gz, dirs):
         half_gap = 0.5 * np.sqrt((a - b) ** 2 + 4.0 * (c.real**2 + c.imag**2))
         mid = 0.5 * (a + b)
         w = np.stack([mid - half_gap, mid + half_gap], axis=-1)
+    elif d == 3:
+        # Smith's eigenvalues (Commun. ACM 4, 168 (1961)): with q = tr X/3 and X - q1 = 2s C,
+        # they are q + 2s cos(phi + 2 pi k/3) for phi = arccos(det C / 2)/3; f holds one
+        # contiguous row per real or imaginary part of an entry
+        f = np.moveaxis(blocks.reshape(2, -1, 9).view(float), -1, 0).copy()
+        q = (f[0] + f[8] + f[16]) / 3.0
+        a0, a1, a2 = f[0] - q, f[8] - q, f[16] - q
+        xr, xi, zr, zi, yr, yi = f[2], f[3], f[4], f[5], f[10], f[11]  # X01, X02, X12
+        xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
+        s = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (xx + yy + zz)) / 6.0)
+        det = a0 * (a1 * a2 - yy) - a1 * zz - a2 * xx + 2.0 * (
+            (xr * yr - xi * yi) * zr + (xr * yi + xi * yr) * zi  # Re(X01 X12 X02*)
+        )
+        # the floor keeps X = q1 (s = 0) out of 0/0; r is clipped to arccos's domain
+        r = np.minimum(np.maximum(det / np.maximum(2.0 * s * s * s, 1e-300), -1.0), 1.0)
+        phi = np.arccos(r) / 3.0
+        hi = q + 2.0 * s * np.cos(phi)
+        lo = q + 2.0 * s * np.cos(phi + 2.0 * np.pi / 3.0)
+        w = np.stack([lo, 3.0 * q - hi - lo, hi], axis=-1)
+        # near |r| = 1 rounding in r splits a degenerate pair by about s sqrt(eps)
+        near = 1.0 - np.abs(r) < 1e-3
+        if near.any():
+            w[near] = np.linalg.eigvalsh(blocks[near])
     else:
         w = np.linalg.eigvalsh(blocks)
     p = w.sum(axis=-1)

@@ -1,6 +1,6 @@
 """Tests of the numeric kernels: the oracle's batched Nelder-Mead and its
 9-parameter objective (in ``qdiscord.geometric``), and the measurement-direction
-entropy scan (in ``qdiscord.entropic``).
+entropy scan (in ``qdiscord.entropic``), whose d_B = 3 spectra are closed-form.
 """
 
 import os
@@ -13,7 +13,7 @@ import pytest
 import qdiscord as qd
 from qdiscord.entropic import conditional_entropy_scan, fibonacci_sphere
 from qdiscord.geometric import chi_distance_sq, nelder_mead
-from qdiscord.linalg import _PAULI_STACK, a_side_blocks
+from qdiscord.linalg import ENTROPY_EIG_FLOOR, OUTCOME_FLOOR, _PAULI_STACK, a_side_blocks
 from sphere_simplex import _angles_to_dir, _initial_simplices
 
 
@@ -52,6 +52,71 @@ def test_scan_is_even_in_the_direction(dims):
         dirs = fibonacci_sphere(257)
         values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
         assert np.array_equal(conditional_entropy_scan(g0, gx, gy, gz, -dirs), values)
+
+
+def _eigvalsh_scan(g0, gx, gy, gz, dirs):
+    """conditional_entropy_scan with LAPACK's eigvalsh on every block, at any d_B."""
+    d = g0.shape[0]
+    g = (dirs @ np.stack([gx, gy, gz]).reshape(3, d * d)).reshape(-1, d, d)
+    w = np.linalg.eigvalsh(0.5 * (g0 + np.stack([g, -g])))
+    p = w.sum(axis=-1)
+    wn = w / np.maximum(p, OUTCOME_FLOOR)[..., None]
+    ent = -np.where(wn > ENTROPY_EIG_FLOOR, wn * np.log2(np.maximum(wn, ENTROPY_EIG_FLOOR)), 0.0)
+    return np.where(p > OUTCOME_FLOOR, p * ent.sum(axis=-1), 0.0).sum(axis=0)
+
+
+def _ket(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def _gram(rng, d, rank):
+    """G G† / Tr(G G†) for a complex Ginibre G of d x rank."""
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+def _qubit_qutrit_state(kind, seed):
+    """A seeded 2x3 state of one kind; cq kinds hold mixed or pure conditional states."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return qd.random_density_matrix(2, 3, seed)
+    if kind in ("cq mixed", "cq pure"):
+        u = qd.random_unitary(2, seed)
+        if kind == "cq pure":
+            states = [np.outer(k, k.conj()) for k in (_ket(rng, 3), _ket(rng, 3))]
+        else:
+            states = [_gram(rng, 3, 3), _gram(rng, 3, 3)]
+        p = rng.uniform(0.05, 0.95)
+        return qd.classical_quantum_state([p, 1.0 - p], [u[:, 0], u[:, 1]], states)
+    if kind == "product":
+        v = np.kron(_ket(rng, 2), _ket(rng, 3))
+        return qd.DensityMatrix(np.outer(v, v.conj()), 2, 3)
+    if kind == "maximally mixed":
+        return qd.DensityMatrix(np.eye(6) / 6.0, 2, 3)
+    return qd.DensityMatrix(_gram(rng, 6, {"rank 1": 1, "rank 2": 2}[kind]), 2, 3)
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "cq mixed", "cq pure", "rank 1", "rank 2", "product", "maximally mixed"]
+)
+def test_qutrit_scan_matches_eigvalsh(kind):
+    # Smith's closed form above the guard and eigvalsh below it, over both
+    # hemispheres of the lattice
+    dirs = fibonacci_sphere(qd.entropic.GRID_POINTS)
+    for seed in range(6):
+        g = a_side_blocks(_qubit_qutrit_state(kind, 70 + seed), _PAULI_STACK)
+        values = conditional_entropy_scan(*g, dirs)
+        np.testing.assert_allclose(values, _eigvalsh_scan(*g, dirs), rtol=0.0, atol=1e-13)
+
+
+def test_qutrit_scan_stays_exact_at_pure_conditional_states():
+    # without the guard near |r| = 1, rounding splits a pure state's double zero
+    # eigenvalue by about 1e-8 and entropic D of these zero-discord states
+    # reaches about 1e-10
+    for seed in range(40):
+        assert qd.entropic_discord(_qubit_qutrit_state("cq pure", seed)) <= 1e-12
 
 
 def test_chi_distance_matches_state_distance():

@@ -226,6 +226,9 @@ class TestMutualInformation:
             qd.von_neumann_entropy(qd.partial_trace(rho, "B"))
         assert abs(qd.mutual_information(rho)) <= 1e-9
         assert abs(qd.entropic_discord(rho)) <= 1e-9
+        # each entropy drops the eigenvalues below its floor, which would leave
+        # H(A) + H(B) - H(AB) at about -1.4e-10 here
+        assert qd.mutual_information(rho) >= 0.0
 
 
 class TestPauliBlocks:

@@ -3,7 +3,9 @@
 Local unitaries U_A x U_B change no discord, so entropic discord and the
 closed-form geometric discord must not move, and a classical-quantum state
 must stay zero-discord.  D_G of a 2x2 state lies in [0, 1/2] and entropic
-discord in [0, S(A)].  States are full rank, rank 1 or rank 2, built from
+discord in [0, S(A)].  The entropy scan's closed-form 3x3 spectra must give
+eigvalsh's entropies where eigenvalues vanish, repeat or nearly repeat.
+States are full rank, rank 1 or rank 2, built from
 drawn seeds; the profile is derandomized so tier-1 runs the same examples
 every time.  Each deviation is passed to ``target``, which steers the search
 towards the worst case and reports it under ``--hypothesis-show-statistics``.
@@ -14,6 +16,8 @@ from hypothesis import HealthCheck, given, settings, target
 from hypothesis import strategies as st
 
 import qdiscord as qd
+from qdiscord.entropic import conditional_entropy_scan
+from qdiscord.linalg import _entropy
 
 TOL = 1e-12
 
@@ -105,3 +109,34 @@ def test_entropic_discord_is_at_most_entropy_of_a(rho):
     target(excess, label="D - S(A)")
     assert 0.0 <= value
     assert excess <= TOL
+
+
+@st.composite
+def qutrit_spectra(draw):
+    """Three eigenvalues of unit sum, with zeros, exact repeats and near-equal pairs."""
+    a, b = draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0))
+    gap = 10.0 ** draw(st.floats(-12.0, -3.0))
+    lam = draw(st.sampled_from([
+        [a, b, draw(st.floats(0.01, 1.0))],
+        [a, b, 0.0],
+        [a, 0.0, 0.0],
+        [a, a, b],
+        [a, a, a],
+        [a, a + gap, b],
+        [a, gap, 0.0],
+    ]))
+    return np.array(lam) / sum(lam)
+
+
+@PROFILE
+@given(qutrit_spectra(), seeds)
+def test_qutrit_scan_entropy_matches_eigvalsh(lam, seed):
+    # measuring along z with g0 = gz = X leaves B in X with probability Tr X = 1
+    v = qd.random_unitary(3, seed)
+    x = (v * lam) @ v.conj().T
+    x = 0.5 * (x + x.conj().T)
+    zero = np.zeros((3, 3), dtype=complex)
+    value = conditional_entropy_scan(x, zero, zero, x, np.array([[0.0, 0.0, 1.0]]))[0]
+    deviation = abs(value - _entropy(np.linalg.eigvalsh(x)))
+    target(deviation, label="closed-form 3x3 entropy deviation")
+    assert deviation <= 1e-13
