@@ -12,6 +12,7 @@ flagged as such in reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,33 +117,49 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
+@lru_cache(maxsize=8)
+def _half_lattice(n: int) -> np.ndarray:
+    """The z >= 0 half of fibonacci_sphere(n), read-only: e and -e are one measurement."""
+    dirs = fibonacci_sphere(n)
+    dirs = dirs[dirs[:, 2] >= 0.0]
+    dirs.setflags(write=False)
+    return dirs
+
+
+# the columns of a block's float view that the closed forms read: Re X00, Re X11, Re X01,
+# Im X01 at d_B = 2; the diagonal, X01, X02 and X12 at d_B = 3
+_ROWS = {2: np.array([0, 6, 2, 3]), 3: np.array([0, 8, 16, 2, 3, 4, 5, 10, 11])}
+_SIGNS = np.array([[1.0], [-1.0]])  # the two outcomes
+
+
 def conditional_entropy_scan(g0, gx, gy, gz, dirs):
     """Average conditional entropy of B after measuring A along each direction.
 
-    g0, gx, gy, gz are the B-side blocks Tr_A[(s x 1) rho] for s = 1, sigma_x,
-    sigma_y, sigma_z; dirs is an (n, 3) array of unit vectors.  Measuring A along
-    e leaves B in the unnormalized blocks (g0 +- (e1 gx + e2 gy + e3 gz))/2.
+    g0, gx, gy, gz are the complex B-side blocks Tr_A[(s x 1) rho] for s = 1,
+    sigma_x, sigma_y, sigma_z; dirs is an (n, 3) array of unit vectors.  Measuring
+    A along e leaves B in the unnormalized blocks (g0 +- (e1 gx + e2 gy + e3 gz))/2.
     Returns an (n,) array of sum_k p_k H(rho_B|k) values in bits.
     """
     d = g0.shape[0]
-    g = (dirs @ np.stack([gx, gy, gz]).reshape(3, d * d)).reshape(-1, d, d)
-    blocks = 0.5 * (g0 + np.stack([g, -g]))  # the two outcomes' unnormalized B states
+    if d in _ROWS:
+        # f[i] is one contiguous (2, n) row, both outcomes, per real entry a closed form reads
+        m = 0.5 * np.array([g0, gx, gy, gz]).reshape(4, d * d).view(float)[:, _ROWS[d]]
+        f = m[0, :, None, None] + (m[1:].T @ dirs.T)[:, None] * _SIGNS
+    else:
+        g = (dirs @ np.stack([gx, gy, gz]).reshape(3, d * d)).reshape(-1, d, d)
+        w = np.moveaxis(np.linalg.eigvalsh(0.5 * (g0 + np.stack([g, -g]))), -1, 0)
     if d == 2:
         # closed-form eigenvalues of [[a, c], [c*, b]]
-        a = blocks[..., 0, 0].real
-        b = blocks[..., 1, 1].real
-        c = blocks[..., 0, 1]
-        half_gap = 0.5 * np.sqrt((a - b) ** 2 + 4.0 * (c.real**2 + c.imag**2))
+        a, b, cr, ci = f
+        half_gap = 0.5 * np.sqrt((a - b) ** 2 + 4.0 * (cr**2 + ci**2))
         mid = 0.5 * (a + b)
-        w = np.stack([mid - half_gap, mid + half_gap], axis=-1)
+        w = np.array([mid - half_gap, mid + half_gap])
     elif d == 3:
         # Smith's eigenvalues (Commun. ACM 4, 168 (1961)): with q = tr X/3 and X - q1 = 2s C,
-        # they are q + 2s cos(phi + 2 pi k/3) for phi = arccos(det C / 2)/3; f holds one
-        # contiguous row per real or imaginary part of an entry
-        f = np.moveaxis(blocks.reshape(2, -1, 9).view(float), -1, 0).copy()
-        q = (f[0] + f[8] + f[16]) / 3.0
-        a0, a1, a2 = f[0] - q, f[8] - q, f[16] - q
-        xr, xi, zr, zi, yr, yi = f[2], f[3], f[4], f[5], f[10], f[11]  # X01, X02, X12
+        # they are q + 2s cos(phi + 2 pi k/3) for phi = arccos(det C / 2)/3
+        q = (f[0] + f[1] + f[2]) / 3.0
+        a0, a1, a2 = f[0] - q, f[1] - q, f[2] - q
+        xr, xi, zr, zi, yr, yi = f[3:]  # X01, X02, X12
         xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
         s = np.sqrt((a0 * a0 + a1 * a1 + a2 * a2 + 2.0 * (xx + yy + zz)) / 6.0)
         det = a0 * (a1 * a2 - yy) - a1 * zz - a2 * xx + 2.0 * (
@@ -153,17 +170,19 @@ def conditional_entropy_scan(g0, gx, gy, gz, dirs):
         phi = np.arccos(r) / 3.0
         hi = q + 2.0 * s * np.cos(phi)
         lo = q + 2.0 * s * np.cos(phi + 2.0 * np.pi / 3.0)
-        w = np.stack([lo, 3.0 * q - hi - lo, hi], axis=-1)
-        # near |r| = 1 rounding in r splits a degenerate pair by about s sqrt(eps)
+        w = np.array([lo, 3.0 * q - hi - lo, hi])
+        # near |r| = 1 rounding in r splits a degenerate pair by about s sqrt(eps), so those
+        # blocks are rebuilt from their rows for eigvalsh, which reads the lower triangle
         near = 1.0 - np.abs(r) < 1e-3
         if near.any():
-            w[near] = np.linalg.eigvalsh(blocks[near])
-    else:
-        w = np.linalg.eigvalsh(blocks)
-    p = w.sum(axis=-1)
-    wn = w / np.maximum(p, OUTCOME_FLOOR)[..., None]
+            v = f[:, near]
+            x = np.zeros((9, v.shape[1]), dtype=complex)
+            x[[0, 4, 8]], x[[3, 6, 7]] = v[:3], v[3::2] - 1j * v[4::2]  # X10, X20, X21
+            w[:, near] = np.linalg.eigvalsh(x.T.reshape(-1, 3, 3)).T
+    p = w.sum(axis=0)
+    wn = w / np.maximum(p, OUTCOME_FLOOR)
     ent = -np.where(wn > ENTROPY_EIG_FLOOR, wn * np.log2(np.maximum(wn, ENTROPY_EIG_FLOOR)), 0.0)
-    return np.where(p > OUTCOME_FLOOR, p * ent.sum(axis=-1), 0.0).sum(axis=0)
+    return np.where(p > OUTCOME_FLOOR, p * ent.sum(axis=0), 0.0).sum(axis=0)
 
 
 # a 3x3 stencil without its centre, in units of the spacing h
@@ -183,45 +202,47 @@ def _newton_refine(scan, starts, f, h, maxiter, fatol, xatol):
     agree within fatol and no start is lower.  Returns (f, dirs, scans).
     """
     r = len(starts)
-    k = np.argmin(np.abs(starts), axis=1)  # the axis least aligned with e
+    k = np.abs(starts).argmin(axis=1)  # the axis least aligned with e
     u = np.eye(3)[k] - starts * starts[np.arange(r), k, None]
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    frames = np.stack([starts, u, np.cross(starts, u)], axis=1)
+    u /= np.sqrt((u * u).sum(axis=1, keepdims=True))
+    v = starts[:, [1, 2, 0]] * u[:, [2, 0, 1]] - starts[:, [2, 0, 1]] * u[:, [1, 2, 0]]  # e x u
+    uv = np.stack([u, v], axis=1)
 
     def dirs(i, x):  # the unit vectors of points x (len(i), m, 2)
-        d = frames[i, None, 0] + x @ frames[i, 1:]
-        return d / np.linalg.norm(d, axis=-1, keepdims=True)
+        d = starts[i, None] + x @ uv[i]
+        return d / np.sqrt((d * d).sum(axis=-1, keepdims=True))
 
     x, f, h = np.zeros((r, 2)), np.array(f, dtype=float), np.full(r, h)
     active = np.ones(r, dtype=bool)
     scans = 0
     for _ in range(maxiter):
-        a = np.flatnonzero(active)
+        a = active.nonzero()[0]
         if a.size == 0:
             break
-        fs = scan(dirs(a, x[a, None] + h[a, None, None] * _STENCIL).reshape(-1, 3)).reshape(-1, 8)
-        df = fs - f[a, None]
+        xa, fa, ha = x[a], f[a], h[a]
+        fs = scan(dirs(a, xa[:, None] + ha[:, None, None] * _STENCIL).reshape(-1, 3)).reshape(-1, 8)
+        df = fs - fa[:, None]
         # in units of h; columns 1, 6, 3, 4 are the points (-1, 0), (1, 0), (0, -1), (0, 1)
         g1, g2 = 0.5 * (df[:, 6] - df[:, 1]), 0.5 * (df[:, 4] - df[:, 3])
         h11, h22 = df[:, 6] + df[:, 1], df[:, 4] + df[:, 3]
         h12 = 0.25 * (df[:, 7] - df[:, 5] - df[:, 2] + df[:, 0])
         det = h11 * h22 - h12 * h12
-        best = np.argmin(fs, axis=1)
+        best = fs.argmin(axis=1)
         new_f, step = fs[np.arange(a.size), best], _STENCIL[best]
-        pd = np.flatnonzero((h11 > 0.0) & (det > 0.0))
+        pd = ((h11 > 0.0) & (det > 0.0)).nonzero()[0]
         if pd.size:
-            t = np.stack([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2], axis=1)[pd] / det[pd, None]
-            t *= (4.0 / np.maximum(np.linalg.norm(t, axis=1), 4.0))[:, None]  # |t| <= 4
-            fn = scan(dirs(a[pd], (x[a[pd]] + h[a[pd], None] * t)[:, None])[:, 0])
+            t = np.array([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2])[:, pd] / det[pd]
+            t = (t * (4.0 / np.maximum(np.sqrt(t[0] * t[0] + t[1] * t[1]), 4.0))).T  # |t| <= 4
+            fn = scan(dirs(a[pd], (xa[pd] + ha[pd, None] * t)[:, None])[:, 0])
             newton = fn < new_f[pd]
             new_f[pd[newton]], step[pd[newton]] = fn[newton], t[newton]
         scans += 1 + bool(pd.size)
-        moved = new_f < f[a]
-        gain = np.where(moved, f[a] - new_f, 0.0)
-        x[a] += np.where(moved[:, None], h[a, None] * step, 0.0)
-        f[a] = np.minimum(f[a], new_f)
-        h[a] *= 0.25 * np.where(moved, np.linalg.norm(step, axis=1), 1.0)
-        active[a] = (h[a] >= xatol) & ((gain > fatol) | (np.abs(df).max(axis=1) > fatol))
+        moved = new_f < fa
+        gain = np.where(moved, fa - new_f, 0.0)
+        x[a] = xa + np.where(moved[:, None], ha[:, None] * step, 0.0)
+        f[a] = np.minimum(fa, new_f)
+        h[a] = ha = ha * (0.25 * np.where(moved, np.sqrt((step * step).sum(axis=1)), 1.0))
+        active[a] = (ha >= xatol) & ((gain > fatol) | (np.abs(df).max(axis=1) > fatol))
         frozen = f[~active]
         if frozen.size > 1:
             low = frozen.min()
@@ -280,14 +301,13 @@ def classical_correlation_qa(
     refine_iters = _count_arg("refine_iters", refine_iters, 0)
     refine_starts = _count_arg("refine_starts", refine_starts, 0)
     g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)  # g0 = Tr_A rho
-    dirs = fibonacci_sphere(grid_points)
-    dirs = dirs[dirs[:, 2] >= 0.0]  # e and -e are one measurement
+    dirs = _half_lattice(grid_points)
     values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
 
     best_order = np.argsort(values, kind="stable")
     best_idx = int(best_order[0])
     grid_minimum = best_val = float(values[best_idx])
-    best_dir = dirs[best_idx]
+    best_dir = dirs[best_idx].copy()  # not a view of the cached lattice
 
     start_idx = best_order[:refine_starts]
     refined, ends, scans = _newton_refine(

@@ -77,25 +77,25 @@ def _gram(rng, d, rank):
     return mat / np.trace(mat).real
 
 
-def _qubit_qutrit_state(kind, seed):
-    """A seeded 2x3 state of one kind; cq kinds hold mixed or pure conditional states."""
+def _qubit_state(kind, seed, d=3):
+    """A seeded 2 x d state of one kind; cq kinds hold mixed or pure conditional states."""
     rng = np.random.default_rng(seed)
     if kind == "random":
-        return qd.random_density_matrix(2, 3, seed)
+        return qd.random_density_matrix(2, d, seed)
     if kind in ("cq mixed", "cq pure"):
         u = qd.random_unitary(2, seed)
         if kind == "cq pure":
-            states = [np.outer(k, k.conj()) for k in (_ket(rng, 3), _ket(rng, 3))]
+            states = [np.outer(k, k.conj()) for k in (_ket(rng, d), _ket(rng, d))]
         else:
-            states = [_gram(rng, 3, 3), _gram(rng, 3, 3)]
+            states = [_gram(rng, d, d), _gram(rng, d, d)]
         p = rng.uniform(0.05, 0.95)
         return qd.classical_quantum_state([p, 1.0 - p], [u[:, 0], u[:, 1]], states)
     if kind == "product":
-        v = np.kron(_ket(rng, 2), _ket(rng, 3))
-        return qd.DensityMatrix(np.outer(v, v.conj()), 2, 3)
+        v = np.kron(_ket(rng, 2), _ket(rng, d))
+        return qd.DensityMatrix(np.outer(v, v.conj()), 2, d)
     if kind == "maximally mixed":
-        return qd.DensityMatrix(np.eye(6) / 6.0, 2, 3)
-    return qd.DensityMatrix(_gram(rng, 6, {"rank 1": 1, "rank 2": 2}[kind]), 2, 3)
+        return qd.DensityMatrix(np.eye(2 * d) / (2.0 * d), 2, d)
+    return qd.DensityMatrix(_gram(rng, 2 * d, {"rank 1": 1, "rank 2": 2}[kind]), 2, d)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +106,17 @@ def test_qutrit_scan_matches_eigvalsh(kind):
     # hemispheres of the lattice
     dirs = fibonacci_sphere(qd.entropic.GRID_POINTS)
     for seed in range(6):
-        g = a_side_blocks(_qubit_qutrit_state(kind, 70 + seed), _PAULI_STACK)
+        g = a_side_blocks(_qubit_state(kind, 70 + seed), _PAULI_STACK)
+        values = conditional_entropy_scan(*g, dirs)
+        np.testing.assert_allclose(values, _eigvalsh_scan(*g, dirs), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["random", "cq pure", "rank 1", "product", "maximally mixed"])
+def test_qubit_scan_matches_eigvalsh(kind):
+    # the d_B = 2 closed form on rows, over both hemispheres of the lattice
+    dirs = fibonacci_sphere(qd.entropic.GRID_POINTS)
+    for seed in range(6):
+        g = a_side_blocks(_qubit_state(kind, 70 + seed, d=2), _PAULI_STACK)
         values = conditional_entropy_scan(*g, dirs)
         np.testing.assert_allclose(values, _eigvalsh_scan(*g, dirs), rtol=0.0, atol=1e-13)
 
@@ -116,7 +126,7 @@ def test_qutrit_scan_stays_exact_at_pure_conditional_states():
     # eigenvalue by about 1e-8 and entropic D of these zero-discord states
     # reaches about 1e-10
     for seed in range(40):
-        assert qd.entropic_discord(_qubit_qutrit_state("cq pure", seed)) <= 1e-12
+        assert qd.entropic_discord(_qubit_state("cq pure", seed)) <= 1e-12
 
 
 def test_chi_distance_matches_state_distance():
@@ -400,6 +410,24 @@ def test_refine_starts_zero_returns_grid_result():
         assert res.grid_points == 512
         refined = qd.classical_correlation_qa(rho, grid_points=512)
         assert refined.min_conditional_entropy <= res.min_conditional_entropy
+
+
+def test_best_direction_is_a_fresh_array():
+    # the half lattice is cached read-only; a grid point handed out must be a copy
+    rho = qd.random_density_matrix(2, 2, 5)
+    lattice = qd.entropic._half_lattice(512)
+    for starts in (0, qd.entropic.REFINE_STARTS):
+        first = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=starts)
+        second = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=starts)
+        assert first.best_direction.flags.writeable
+        assert not np.shares_memory(first.best_direction, lattice)
+        assert np.array_equal(first.best_direction, second.best_direction)
+        assert (first.value, first.min_conditional_entropy, first.scans) == (
+            second.value, second.min_conditional_entropy, second.scans
+        )
+        first.best_direction[:] = 0.0
+        third = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=starts)
+        assert np.array_equal(third.best_direction, second.best_direction)
 
 
 def test_import_leaves_out_scipy_and_numba():
