@@ -6,7 +6,7 @@ discord by projective measurement optimization, and DQC1 trace-estimation
 analysis.
 """
 
-from .basis import HermitianBasis, expand, gell_mann_basis, reconstruct
+from .basis import HermitianBasis, gell_mann_basis
 from .correlation import (
     CorrelationMatrix,
     LocalOperatorPair,
@@ -17,7 +17,6 @@ from .correlation import (
     local_operators,
     numerical_rank,
     partial_rows_witness,
-    reconstruct_state,
     zero_discord_test,
 )
 from .dqc1 import (
@@ -31,10 +30,7 @@ from .dqc1 import (
 )
 from .entropic import (
     ClassicalCorrelationResult,
-    ConditionalEnsemble,
-    MeasurementA,
     classical_correlation_qa,
-    conditional_ensemble,
     entropic_discord,
     fibonacci_sphere,
     mutual_information,
@@ -56,7 +52,6 @@ from .geometric import (
     bloch_triple,
     geometric_discord_2q,
     geometric_discord_oracle,
-    hs_distance_sq,
     octahedron_contains,
     random_zero_discord_state,
     state_from_bloch,
@@ -64,13 +59,7 @@ from .geometric import (
 )
 from .linalg import (
     DensityMatrix,
-    Spectrum,
-    commutator_norm,
-    eig_hermitian,
-    hs_inner,
     partial_trace,
-    swap_subsystems,
-    tensor,
     von_neumann_entropy,
 )
 from .states import (

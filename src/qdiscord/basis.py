@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonHermitianError, ValidationError
-from .linalg import _check_tolerances, _count_arg
+from .linalg import _count_arg
 
 ORTHONORMAL_ATOL = 1e-12
 # Distinct dimensions whose Gell-Mann basis stays cached; a d = 64 basis is 268 MB.
@@ -78,23 +78,3 @@ def gell_mann_basis(d: int) -> HermitianBasis:
     diag /= np.sqrt(l * (l + 1))[:, None]
     ops[1 + 2 * j.size :, np.arange(d), np.arange(d)] = diag
     return HermitianBasis(dim=d, ops=ops)
-
-
-def expand(op, basis: HermitianBasis, atol: float = 1e-9) -> np.ndarray:
-    """Coefficients v_n = Tr(op A_n) of a Hermitian operator in ``basis``."""
-    _check_tolerances(atol=atol)
-    mat = np.asarray(getattr(op, "mat", op), dtype=complex)
-    if mat.shape != (basis.dim, basis.dim):
-        raise DimensionError(f"operator shape {mat.shape} does not match basis dim {basis.dim}")
-    defect = np.linalg.norm(mat - mat.conj().T)
-    if not defect <= atol:  # written so that NaN fails
-        raise NonHermitianError(f"Hermiticity defect {defect:.3e}")
-    return np.einsum("ij,nji->n", mat, basis.ops).real
-
-
-def reconstruct(coeffs: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """Inverse of :func:`expand`: sum_n v_n A_n."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(basis),):
-        raise DimensionError(f"expected {len(basis)} coefficients, got {coeffs.shape}")
-    return np.einsum("n,nij->ij", coeffs, basis.ops)

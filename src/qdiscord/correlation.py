@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import HermitianBasis, gell_mann_basis
 from .errors import DimensionError, ValidationError
-from .linalg import DensityMatrix, _check_tolerances, _expand, _is_integer, _rebuild
+from .linalg import DensityMatrix, _check_tolerances, _expand, _is_integer
 
 RANK_ATOL = 1e-10
 RANK_RTOL = 1e-9
@@ -122,12 +122,6 @@ def local_operators(cm: CorrelationMatrix) -> list[LocalOperatorPair]:
 def _rotated_operators(columns: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """sum_k columns[k, n] basis.ops[k] for every column n, as one BLAS product."""
     return np.tensordot(columns.T, basis.ops, axes=1)
-
-
-def reconstruct_state(cm: CorrelationMatrix) -> DensityMatrix:
-    """Rebuild the state sum_nm r_nm A_n x B_m from its correlation matrix."""
-    mat = _rebuild(cm.r, cm.basis_a.ops, cm.basis_b.ops)
-    return DensityMatrix(mat, cm.dim_a, cm.dim_b)
 
 
 def zero_discord_test(

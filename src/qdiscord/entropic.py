@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .linalg import (
     _PAULI_STACK, ENTROPY_EIG_FLOOR, OUTCOME_FLOOR, DensityMatrix, _count_arg, _entropy,
     a_side_blocks, partial_trace,
@@ -27,71 +27,6 @@ REFINE_ITERS = 200
 REFINE_STARTS = 8
 
 MEASUREMENT_CLASS = "projective optimum (upper bound on discord)"
-
-
-@dataclass(frozen=True)
-class MeasurementA:
-    """Complete rank-1 projective measurement on subsystem A."""
-
-    projectors: np.ndarray
-
-    def __post_init__(self):
-        ops = np.array(self.projectors, dtype=complex)
-        ops.setflags(write=False)
-        object.__setattr__(self, "projectors", ops)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[0] != ops.shape[1]:
-            raise DimensionError(f"expected d rank-1 projectors of size d, got {ops.shape}")
-        if not np.all(np.isfinite(ops)):
-            raise ValidationError("projectors must have finite entries")
-        for p in ops:
-            if np.linalg.norm(p @ p - p) > 1e-10:
-                raise ValidationError("projectors must be idempotent")
-            if abs(np.trace(p) - 1.0) > 1e-10:
-                raise ValidationError("projectors must be rank 1")
-        if np.linalg.norm(ops.sum(axis=0) - np.eye(ops.shape[1])) > 1e-10:
-            raise ValidationError("projectors must resolve the identity")
-
-    @classmethod
-    def from_kets(cls, kets) -> "MeasurementA":
-        return cls(np.stack([np.outer(k, np.conj(k)) for k in np.asarray(kets, dtype=complex)]))
-
-    @classmethod
-    def from_direction(cls, e) -> "MeasurementA":
-        """Qubit measurement along a Bloch direction: (1 +- e.sigma)/2."""
-        e = np.asarray(e, dtype=float)
-        if e.shape != (3,):
-            raise DimensionError(f"direction must be a 3-vector, got shape {e.shape}")
-        norm = np.linalg.norm(e)
-        if not 0.0 < norm < np.inf:
-            raise ValidationError(f"direction must be finite and nonzero, got {e.tolist()}")
-        e = e / norm
-        esig = np.array(
-            [[e[2], e[0] - 1j * e[1]], [e[0] + 1j * e[1], -e[2]]], dtype=complex
-        )
-        eye = np.eye(2, dtype=complex)
-        return cls(np.stack([(eye + esig) / 2.0, (eye - esig) / 2.0]))
-
-
-@dataclass(frozen=True)
-class ConditionalEnsemble:
-    """Outcome probabilities and normalized conditional states of B."""
-
-    probs: np.ndarray
-    states: list
-
-
-def conditional_ensemble(rho: DensityMatrix, m: MeasurementA) -> ConditionalEnsemble:
-    """Post-measurement ensemble of B; outcomes below 1e-12 are omitted."""
-    if m.projectors.shape[1] != rho.dim_a:
-        raise DimensionError(
-            f"measurement dim {m.projectors.shape[1]} does not match d_A {rho.dim_a}"
-        )
-    # Tr_A[(P x 1) rho (P x 1)] = Tr_A[(P x 1) rho] for a projector P
-    blocks = a_side_blocks(rho, m.projectors)
-    probs = np.trace(blocks, axis1=1, axis2=2).real
-    kept = probs >= OUTCOME_FLOOR
-    states = [0.5 * (s + s.conj().T) for s in blocks[kept] / probs[kept, None, None]]
-    return ConditionalEnsemble(probs=probs[kept], states=states)
 
 
 def mutual_information(rho: DensityMatrix) -> float:

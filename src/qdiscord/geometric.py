@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
-from .linalg import _PAULI_STACK, PSD_ATOL, DensityMatrix, _as_matrix, _check_tolerances
+from .linalg import _PAULI_STACK, PSD_ATOL, DensityMatrix, _check_tolerances
 from .linalg import _count_arg, _expand, _rebuild, a_side_blocks
 
 # Bell-diagonal tetrahedron vertices; 1 + t.v >= 0 for each vertex v is
@@ -69,15 +69,6 @@ def state_from_bloch(x, y, corr) -> np.ndarray:
     coeffs[0, 1:] = y
     coeffs[1:, 1:] = corr
     return _rebuild(coeffs, _PAULI_STACK, _PAULI_STACK) / 4.0
-
-
-def hs_distance_sq(rho, chi) -> float:
-    """Squared Hilbert-Schmidt distance Tr (rho - chi)^2."""
-    a = _as_matrix(rho)
-    b = _as_matrix(chi)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b) ** 2)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Dense complex-matrix substrate for bipartite states.
 
-Tensor products, partial traces, Hermitian eigendecompositions, von Neumann
-entropy (base 2) and commutator norms.  All functions are pure;
+Partial traces, the realigned A-side products behind every expansion, and
+von Neumann entropy (base 2).  All functions are pure;
 :class:`DensityMatrix` values are immutable after construction.
 """
 
@@ -137,19 +137,6 @@ class DensityMatrix:
         return self.mat.reshape(self.dim_a, self.dim_b, self.dim_a, self.dim_b)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in descending order with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two operators."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
     """Reduced state of one subsystem; ``keep`` is "A" or "B"."""
     t = rho.blocks()
@@ -196,23 +183,6 @@ def _rebuild(r: np.ndarray, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
     return a_side_sum(ops_a, (r @ ops_b.reshape(n_b, -1)).reshape(-1, d_b, d_b))
 
 
-def swap_subsystems(rho: DensityMatrix) -> DensityMatrix:
-    """Exchange the roles of A and B."""
-    t = rho.blocks().transpose(1, 0, 3, 2)
-    return DensityMatrix(t.reshape(rho.dim, rho.dim), rho.dim_b, rho.dim_a)
-
-
-def eig_hermitian(h, atol: float = 1e-9) -> Spectrum:
-    """Descending-order eigendecomposition of a Hermitian matrix."""
-    _check_tolerances(atol=atol)
-    mat = _as_matrix(h)
-    defect = np.linalg.norm(mat - mat.conj().T)
-    if not defect <= atol:  # written so that NaN fails
-        raise NonHermitianError(f"Hermiticity defect {defect:.3e} exceeds {atol:.1e}")
-    w, v = np.linalg.eigh(mat)
-    return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-
-
 def von_neumann_entropy(rho) -> float:
     """Entropy -Tr(rho log2 rho) in bits; eigenvalues below 1e-12 contribute 0.
 
@@ -245,22 +215,3 @@ def _entropy(w) -> float:
     """
     w = w[w > ENTROPY_EIG_FLOOR]
     return float(-np.sum(w * np.log2(w))) + 0.0  # + 0.0 folds -0.0 into 0.0
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(a† b) of two matrices of the same shape."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise DimensionError(f"need two matrices of the same shape, got {a.shape} and {b.shape}")
-    # Tr(a† b) = sum(conj(a) * b): O(d²), no matrix product
-    return complex(np.vdot(a, b))
-
-
-def commutator_norm(a, b) -> float:
-    """Frobenius norm of the commutator ab - ba."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"need equal square matrices, got {a.shape} and {b.shape}")
-    return float(np.linalg.norm(a @ b - b @ a))

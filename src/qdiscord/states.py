@@ -41,6 +41,7 @@ def bell_diagonal_state(t) -> DensityMatrix:
 
 def bell_state(index: int) -> DensityMatrix:
     """One of the four Bell states: 0 Phi+, 1 Phi-, 2 Psi+, 3 Psi-."""
+    index = _count_arg("index", index)
     if index not in _BELL_T:
         raise ValidationError(f"Bell index must be 0..3, got {index}")
     return bell_diagonal_state(_BELL_T[index])
@@ -52,7 +53,7 @@ def facet_state(s1: int, s2: int, s3: int) -> DensityMatrix:
     These eight states sit at the centers of the separability octahedron's
     facets and maximize discord over the facet centers.
     """
-    signs = (s1, s2, s3)
+    signs = tuple(_count_arg(name, s) for name, s in zip(("s1", "s2", "s3"), (s1, s2, s3)))
     if any(s not in (1, -1) for s in signs):
         raise ValidationError(f"facet signs must be +1 or -1, got {signs}")
     return bell_diagonal_state(np.array(signs, dtype=float) / 3.0)

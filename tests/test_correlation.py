@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord.linalg import ID2
+from references import commutator_norm
 
 BAD_TOLERANCES = [float("nan"), -1.0, float("inf")]
 
@@ -116,17 +117,21 @@ class TestCorrelationMatrix:
             assert np.abs(cm.singulars - c).max() <= 1e-15
 
 
+def _rebuilt(rho):
+    """sum_n c_n S_n x F_n over the retained terms of rho's expansion."""
+    pairs = qd.local_operators(qd.correlation_matrix(rho))
+    return sum(p.weight * np.kron(p.op_a, p.op_b) for p in pairs)
+
+
 class TestReconstructState:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
     def test_roundtrip_random(self, dims):
         for seed in range(100 if dims == (2, 2) else 20):
             rho = qd.random_density_matrix(*dims, seed)
-            back = qd.reconstruct_state(qd.correlation_matrix(rho))
-            assert np.abs(back.mat - rho.mat).max() <= 1e-12
+            assert np.abs(_rebuilt(rho) - rho.mat).max() <= 1e-12
 
     def test_bell_roundtrip_exact_pattern(self, bell):
-        back = qd.reconstruct_state(qd.correlation_matrix(bell))
-        assert_allclose(back.mat, bell.mat, atol=1e-14)
+        assert_allclose(_rebuilt(bell), bell.mat, atol=1e-14)
 
 
 class TestLocalOperators:
@@ -168,6 +173,39 @@ class TestLocalOperators:
             for p in pairs:
                 assert np.linalg.norm(p.op_a - p.op_a.conj().T) <= 1e-10
                 assert np.linalg.norm(p.op_b - p.op_b.conj().T) <= 1e-10
+
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_operators_are_hs_orthonormal(self, dims):
+        # Tr(S_m S_n) = Tr(F_m F_n) = delta_mn: the columns of U and V rotate an orthonormal basis
+        pairs = qd.local_operators(qd.correlation_matrix(qd.random_density_matrix(*dims, 11)))
+        assert len(pairs) == min(dims) ** 2
+        for side in ("op_a", "op_b"):
+            ops = np.stack([getattr(p, side) for p in pairs])
+            gram = np.einsum("mij,nji->mn", ops, ops)
+            assert np.abs(gram - np.eye(len(pairs))).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_weights_are_the_retained_singular_values(self, dims):
+        cm = qd.correlation_matrix(qd.random_density_matrix(*dims, 12))
+        weights = [p.weight for p in qd.local_operators(cm)]
+        assert weights == sorted(weights, reverse=True)
+        assert_allclose(weights, cm.singulars[: qd.numerical_rank(cm)], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_zero_discord_state_operators_commute(self, dim_a):
+        # the paper's criterion: for a classical-quantum state every pair S_m, S_n commutes
+        for seed in range(5):
+            pairs = qd.local_operators(qd.correlation_matrix(_random_cq_state(seed, dim_a, 2)))
+            assert len(pairs) <= dim_a
+            for p in pairs:
+                for q in pairs:
+                    assert commutator_norm(p.op_a, q.op_a) <= 1e-10
+
+    def test_discordant_state_operators_do_not_commute(self, eq4_state):
+        pairs = qd.local_operators(qd.correlation_matrix(eq4_state))
+        largest = max(commutator_norm(p.op_a, q.op_a) for p in pairs for q in pairs)
+        assert largest > 0.1
 
 
 class TestZeroDiscordTest:
@@ -268,7 +306,7 @@ class TestZeroDiscordTest:
                 for i in range(len(ops)):
                     for j in range(i + 1, len(ops)):
                         scale = np.linalg.norm(ops[i]) * np.linalg.norm(ops[j])
-                        expected = max(expected, qd.commutator_norm(ops[i], ops[j]) / scale)
+                        expected = max(expected, commutator_norm(ops[i], ops[j]) / scale)
                 got = qd.zero_discord_test(rho).max_commutator
                 assert type(got) is float
                 assert abs(got - expected) <= 1e-14

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord.entropic import GRID_POINTS, REFINE_ITERS, REFINE_STARTS, conditional_entropy_scan
+from qdiscord.entropic import fibonacci_sphere
 from qdiscord.geometric import nelder_mead
-from qdiscord.linalg import _PAULI_STACK, ID2, a_side_blocks
+from qdiscord.linalg import ENTROPY_EIG_FLOOR, OUTCOME_FLOOR, _PAULI_STACK, a_side_blocks
+from references import conditional_ensemble, direction_projectors, swap_subsystems
 from sphere_simplex import _angles_to_dir, _initial_simplices
 
 
@@ -101,103 +107,52 @@ def _full_sphere_minimum(rho, scan):
     return min(float(values.min()), float(refined.min()))
 
 
-class TestMeasurementA:
-    def test_from_direction_is_complete(self):
-        m = qd.MeasurementA.from_direction([0.3, -0.4, 0.5])
-        assert_allclose(m.projectors.sum(axis=0), ID2, atol=1e-14)
-        for p in m.projectors:
-            assert np.linalg.norm(p @ p - p) <= 1e-12
-            assert np.trace(p).real == pytest.approx(1.0)
-
-    def test_z_direction(self):
-        m = qd.MeasurementA.from_direction([0, 0, 1.0])
-        assert_allclose(m.projectors[0], np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_rejects_incomplete(self):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(qd.ValidationError):
-            qd.MeasurementA(np.stack([p0, p0]))
-
-    def test_rejects_rank_two(self):
-        with pytest.raises(qd.ValidationError):
-            qd.MeasurementA(np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), complex)]))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite_projectors(self, bad):
-        ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-        ops[1, 0, 1] = bad
-        with pytest.raises(qd.ValidationError, match="finite"):
-            qd.MeasurementA(ops)
-        with pytest.raises(qd.ValidationError, match="finite"):
-            qd.MeasurementA(np.full((2, 2, 2), bad))
-
-    @pytest.mark.parametrize(
-        "direction", [[0.0, 0.0, 0.0], [float("nan"), 0.0, 1.0], [float("inf"), 0.0, 0.0]]
-    )
-    def test_rejects_zero_or_non_finite_direction(self, direction):
-        # checked before dividing: pytest would turn a 0/0 RuntimeWarning into an error
-        with pytest.raises(qd.ValidationError, match="direction must be finite and nonzero"):
-            qd.MeasurementA.from_direction(direction)
-
-    @pytest.mark.parametrize(
-        "direction", [[1.0, 0.0], [0.0, 0.0, 1.0, 0.0], 1.0, [[0.0, 0.0, 1.0]]]
-    )
-    def test_rejects_non_3_vector_direction(self, direction):
-        with pytest.raises(qd.DimensionError, match="direction must be a 3-vector"):
-            qd.MeasurementA.from_direction(direction)
-
-
 class TestConditionalEnsemble:
+    """The reference ensemble that the entropy scan is checked against."""
+
     def test_product_state_conditionals_equal_marginal(self, product_mixed):
         rho_b = qd.partial_trace(product_mixed, "B")
         for direction in ([0, 0, 1.0], [1.0, 0, 0], [0.6, 0.0, 0.8]):
-            ens = qd.conditional_ensemble(product_mixed, qd.MeasurementA.from_direction(direction))
-            for state in ens.states:
+            ens = conditional_ensemble(product_mixed, direction_projectors(direction))
+            for _, state in ens:
                 assert_allclose(state, rho_b, atol=1e-12)
 
     def test_bell_z_measurement(self, bell):
-        ens = qd.conditional_ensemble(bell, qd.MeasurementA.from_direction([0, 0, 1.0]))
-        assert_allclose(ens.probs, [0.5, 0.5], atol=1e-14)
-        assert_allclose(ens.states[0], np.diag([1.0, 0.0]), atol=1e-14)
-        assert_allclose(ens.states[1], np.diag([0.0, 1.0]), atol=1e-14)
+        (p0, s0), (p1, s1) = conditional_ensemble(bell, direction_projectors([0, 0, 1.0]))
+        assert_allclose([p0, p1], [0.5, 0.5], atol=1e-14)
+        assert_allclose(s0, np.diag([1.0, 0.0]), atol=1e-14)
+        assert_allclose(s1, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_bell_x_measurement_pure_conditionals(self, bell):
-        ens = qd.conditional_ensemble(bell, qd.MeasurementA.from_direction([1.0, 0, 0]))
-        assert_allclose(ens.probs, [0.5, 0.5], atol=1e-14)
-        for state in ens.states:
+        ens = conditional_ensemble(bell, direction_projectors([1.0, 0, 0]))
+        assert_allclose([p for p, _ in ens], [0.5, 0.5], atol=1e-14)
+        for _, state in ens:
             purity = np.trace(state @ state).real
             assert purity == pytest.approx(1.0, abs=1e-12)
 
     def test_mixture_recovers_marginal(self):
         rho = qd.random_density_matrix(2, 3, 5)
-        ens = qd.conditional_ensemble(rho, qd.MeasurementA.from_direction([0.1, 0.7, -0.7]))
-        assert ens.probs.sum() == pytest.approx(1.0, abs=1e-10)
-        mix = sum(p * s for p, s in zip(ens.probs, ens.states))
+        ens = conditional_ensemble(rho, direction_projectors([0.1, 0.7, -0.7]))
+        assert sum(p for p, _ in ens) == pytest.approx(1.0, abs=1e-10)
+        mix = sum(p * s for p, s in ens)
         assert_allclose(mix, qd.partial_trace(rho, "B"), atol=1e-10)
 
     def test_zero_probability_outcomes_omitted(self):
         ket = np.zeros(4, dtype=complex)
         ket[0] = 1.0  # |00>, A is pure |0>
         rho = qd.DensityMatrix(np.outer(ket, ket), 2, 2)
-        ens = qd.conditional_ensemble(rho, qd.MeasurementA.from_direction([0, 0, 1.0]))
-        assert len(ens.probs) == 1
-        assert ens.probs[0] == pytest.approx(1.0)
+        ens = conditional_ensemble(rho, direction_projectors([0, 0, 1.0]))
+        assert len(ens) == 1
+        assert ens[0][0] == pytest.approx(1.0)
 
     def test_qutrit_measurement_from_kets(self):
-        # the ensemble API covers any measured dimension, only the optimizer
-        # is qubit-specific
+        # the ensemble covers any measured dimension, only the optimizer is qubit-specific
         rho = qd.random_density_matrix(3, 2, 7)
         u = qd.random_unitary(3, 2)
-        m = qd.MeasurementA.from_kets([u[:, k] for k in range(3)])
-        ens = qd.conditional_ensemble(rho, m)
-        assert ens.probs.sum() == pytest.approx(1.0, abs=1e-10)
-        mix = sum(p * s for p, s in zip(ens.probs, ens.states))
+        ens = conditional_ensemble(rho, np.stack([qd.projector(u[:, k]) for k in range(3)]))
+        assert sum(p for p, _ in ens) == pytest.approx(1.0, abs=1e-10)
+        mix = sum(p * s for p, s in ens)
         assert_allclose(mix, qd.partial_trace(rho, "B"), atol=1e-10)
-
-    def test_dim_mismatch(self):
-        rho = qd.random_density_matrix(3, 2, 1)
-        with pytest.raises(qd.DimensionError):
-            qd.conditional_ensemble(rho, qd.MeasurementA.from_direction([0, 0, 1.0]))
 
 
 class TestMutualInformation:
@@ -372,14 +327,14 @@ class TestEntropicDiscord:
             [np.diag([1.0, 0.0]), np.outer(plus, plus)],
         )
         d_a = qd.entropic_discord(rho)
-        d_b = qd.entropic_discord(qd.swap_subsystems(rho))
+        d_b = qd.entropic_discord(swap_subsystems(rho))
         assert d_a <= 1e-6
         assert abs(d_a - d_b) > 1e-3
 
     def test_facet_states_symmetric(self):
         rho = qd.facet_state(1, -1, 1)
         d_a = qd.entropic_discord(rho)
-        d_b = qd.entropic_discord(qd.swap_subsystems(rho))
+        d_b = qd.entropic_discord(swap_subsystems(rho))
         assert abs(d_a - d_b) <= 1e-6
 
     def test_agrees_with_commutator_criterion(self, classical_bits, eq4_state, bell):
@@ -395,3 +350,170 @@ class TestEntropicDiscord:
             value = qd.entropic_discord(rho)
             assert verdict.is_zero_discord == classical
             assert (value <= 1e-6) == classical
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
+def test_scan_matches_conditional_ensemble(dims):
+    rho = qd.random_density_matrix(*dims, seed=dims[1])
+    g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
+    dirs = fibonacci_sphere(33)
+    values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
+    for e, value in zip(dirs, values):
+        ens = conditional_ensemble(rho, direction_projectors(e))
+        expected = sum(p * qd.von_neumann_entropy(s) for p, s in ens)
+        assert value == pytest.approx(expected, abs=1e-12)
+
+
+def test_scan_handles_pure_outcomes(bell):
+    g0, gx, gy, gz = a_side_blocks(bell, _PAULI_STACK)
+    dirs = fibonacci_sphere(64)
+    values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
+    # any measurement on one half of a Bell state leaves B pure
+    assert np.abs(values).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
+def test_scan_is_even_in_the_direction(dims):
+    # e and -e give the same two projectors with the outcomes swapped, so the
+    # optimizer may scan one hemisphere; the symmetry holds bit for bit
+    for seed in range(5):
+        rho = qd.random_density_matrix(*dims, seed=40 + seed)
+        g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
+        dirs = fibonacci_sphere(257)
+        values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
+        assert np.array_equal(conditional_entropy_scan(g0, gx, gy, gz, -dirs), values)
+
+
+def _eigvalsh_scan(g0, gx, gy, gz, dirs):
+    """conditional_entropy_scan with LAPACK's eigvalsh on every block, at any d_B."""
+    d = g0.shape[0]
+    g = (dirs @ np.stack([gx, gy, gz]).reshape(3, d * d)).reshape(-1, d, d)
+    w = np.linalg.eigvalsh(0.5 * (g0 + np.stack([g, -g])))
+    p = w.sum(axis=-1)
+    wn = w / np.maximum(p, OUTCOME_FLOOR)[..., None]
+    ent = -np.where(wn > ENTROPY_EIG_FLOOR, wn * np.log2(np.maximum(wn, ENTROPY_EIG_FLOOR)), 0.0)
+    return np.where(p > OUTCOME_FLOOR, p * ent.sum(axis=-1), 0.0).sum(axis=0)
+
+
+def _ket(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def _gram(rng, d, rank):
+    """G G† / Tr(G G†) for a complex Ginibre G of d x rank."""
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+def _qubit_state(kind, seed, d=3):
+    """A seeded 2 x d state of one kind; cq kinds hold mixed or pure conditional states."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return qd.random_density_matrix(2, d, seed)
+    if kind in ("cq mixed", "cq pure"):
+        u = qd.random_unitary(2, seed)
+        if kind == "cq pure":
+            states = [np.outer(k, k.conj()) for k in (_ket(rng, d), _ket(rng, d))]
+        else:
+            states = [_gram(rng, d, d), _gram(rng, d, d)]
+        p = rng.uniform(0.05, 0.95)
+        return qd.classical_quantum_state([p, 1.0 - p], [u[:, 0], u[:, 1]], states)
+    if kind == "product":
+        v = np.kron(_ket(rng, 2), _ket(rng, d))
+        return qd.DensityMatrix(np.outer(v, v.conj()), 2, d)
+    if kind == "maximally mixed":
+        return qd.DensityMatrix(np.eye(2 * d) / (2.0 * d), 2, d)
+    return qd.DensityMatrix(_gram(rng, 2 * d, {"rank 1": 1, "rank 2": 2}[kind]), 2, d)
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "cq mixed", "cq pure", "rank 1", "rank 2", "product", "maximally mixed"]
+)
+def test_qutrit_scan_matches_eigvalsh(kind):
+    # Smith's closed form above the guard and eigvalsh below it, over both
+    # hemispheres of the lattice
+    dirs = fibonacci_sphere(qd.entropic.GRID_POINTS)
+    for seed in range(6):
+        g = a_side_blocks(_qubit_state(kind, 70 + seed), _PAULI_STACK)
+        values = conditional_entropy_scan(*g, dirs)
+        np.testing.assert_allclose(values, _eigvalsh_scan(*g, dirs), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["random", "cq pure", "rank 1", "product", "maximally mixed"])
+def test_qubit_scan_matches_eigvalsh(kind):
+    # the d_B = 2 closed form on rows, over both hemispheres of the lattice
+    dirs = fibonacci_sphere(qd.entropic.GRID_POINTS)
+    for seed in range(6):
+        g = a_side_blocks(_qubit_state(kind, 70 + seed, d=2), _PAULI_STACK)
+        values = conditional_entropy_scan(*g, dirs)
+        np.testing.assert_allclose(values, _eigvalsh_scan(*g, dirs), rtol=0.0, atol=1e-13)
+
+
+def test_qutrit_scan_stays_exact_at_pure_conditional_states():
+    # without the guard near |r| = 1, rounding splits a pure state's double zero
+    # eigenvalue by about 1e-8 and entropic D of these zero-discord states
+    # reaches about 1e-10
+    for seed in range(40):
+        assert qd.entropic_discord(_qubit_state("cq pure", seed)) <= 1e-12
+
+
+def test_entropic_refinement_matches_full_sphere_simplex():
+    # two-sided: the library's minimum is neither above nor below the reference's
+    for rho in (
+        qd.random_density_matrix(2, 2, 3),
+        qd.random_density_matrix(2, 3, 8),
+        qd.bell_diagonal_state([0.5, -0.3, 0.2]),
+        qd.four_nonorthogonal_state(),
+    ):
+        got = qd.classical_correlation_qa(rho).min_conditional_entropy
+        assert abs(got - _full_sphere_minimum(rho, conditional_entropy_scan)) <= 1e-12
+
+
+def test_refine_starts_zero_returns_grid_result():
+    dirs = fibonacci_sphere(512)[:256]  # the z >= 0 half of the lattice
+    assert dirs[:, 2].min() >= 0.0
+    # over the whole sphere, seed 5's grid minimum lies at z > 0 and seed 6's at z < 0
+    for seed in (5, 6):
+        rho = qd.random_density_matrix(2, 2, seed)
+        g0, gx, gy, gz = a_side_blocks(rho, _PAULI_STACK)
+        values = conditional_entropy_scan(g0, gx, gy, gz, dirs)
+        res = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=0)
+        assert res.min_conditional_entropy == float(values.min())
+        assert np.array_equal(res.best_direction, dirs[int(np.argmin(values))])
+        assert res.best_direction[2] >= 0.0
+        assert res.grid_points == 512
+        refined = qd.classical_correlation_qa(rho, grid_points=512)
+        assert refined.min_conditional_entropy <= res.min_conditional_entropy
+
+
+def test_best_direction_is_a_fresh_array():
+    # the half lattice is cached read-only; a grid point handed out must be a copy
+    rho = qd.random_density_matrix(2, 2, 5)
+    lattice = qd.entropic._half_lattice(512)
+    for starts in (0, qd.entropic.REFINE_STARTS):
+        first = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=starts)
+        second = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=starts)
+        assert first.best_direction.flags.writeable
+        assert not np.shares_memory(first.best_direction, lattice)
+        assert np.array_equal(first.best_direction, second.best_direction)
+        assert (first.value, first.min_conditional_entropy, first.scans) == (
+            second.value, second.min_conditional_entropy, second.scans
+        )
+        first.best_direction[:] = 0.0
+        third = qd.classical_correlation_qa(rho, grid_points=512, refine_starts=starts)
+        assert np.array_equal(third.best_direction, second.best_direction)
+
+
+def test_import_leaves_out_scipy_and_numba():
+    code = (
+        "import sys, qdiscord; "
+        "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(qd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

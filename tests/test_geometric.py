@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
-from qdiscord.geometric import nelder_mead
-from sphere_simplex import _angles_to_dir
+from qdiscord.geometric import chi_distance_sq, nelder_mead
+from references import hs_distance_sq
+from sphere_simplex import _angles_to_dir, _initial_simplices
 
 
 def _random_tetrahedron_point(rng):
@@ -118,16 +119,6 @@ class TestBlochTriple:
 
 
 class TestHsDistance:
-    def test_zero_on_equal(self, bell):
-        assert qd.hs_distance_sq(bell, bell) == 0.0
-
-    def test_orthogonal_pure_qubits(self):
-        assert qd.hs_distance_sq(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == pytest.approx(2.0)
-
-    def test_bell_to_maximally_mixed(self, bell):
-        chi = qd.DensityMatrix(np.eye(4, dtype=complex) / 4, 2, 2)
-        assert qd.hs_distance_sq(bell, chi) == pytest.approx(0.75, abs=1e-14)
-
     def test_matches_bloch_expansion(self):
         for seed in range(10):
             rho = qd.random_density_matrix(2, 2, seed)
@@ -138,11 +129,7 @@ class TestHsDistance:
                 + np.sum((br.y - bc.y) ** 2)
                 + np.sum((br.corr - bc.corr) ** 2)
             )
-            assert qd.hs_distance_sq(rho, chi) == pytest.approx(expansion, abs=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(qd.DimensionError):
-            qd.hs_distance_sq(np.eye(2) / 2, np.eye(3) / 3)
+            assert hs_distance_sq(rho.mat, chi.mat) == pytest.approx(expansion, abs=1e-12)
 
 
 def _dephased(rho, e):
@@ -187,7 +174,7 @@ class TestClosedForm:
             res = qd.geometric_discord_2q(rho)
             chi = qd.DensityMatrix(_dephased(rho, res.e_star), 2, 2)
             assert qd.zero_discord_test(chi).is_zero_discord
-            assert qd.hs_distance_sq(rho, chi) == pytest.approx(res.value, abs=1e-10)
+            assert hs_distance_sq(rho.mat, chi.mat) == pytest.approx(res.value, abs=1e-10)
 
     def test_stationarity_of_minimizer(self):
         for seed in range(10):
@@ -245,7 +232,7 @@ class TestQubitQudit:
             res = qd.geometric_discord_2q(rho)
             assert res.value == pytest.approx(_dephasing_scan(rho), abs=1e-12)
             chi = qd.DensityMatrix(_dephased(rho, res.e_star), 2, dim_b)
-            assert qd.hs_distance_sq(rho, chi) == pytest.approx(res.value, abs=1e-15)
+            assert hs_distance_sq(rho.mat, chi.mat) == pytest.approx(res.value, abs=1e-15)
             assert qd.zero_discord_test(chi).is_zero_discord
             w = np.kron(np.eye(2), qd.random_unitary(dim_b, seed))
             rotated = qd.DensityMatrix(w @ rho.mat @ w.conj().T, 2, dim_b)
@@ -264,7 +251,7 @@ class TestQubitQudit:
                 rho = qd.dqc1_output_state(qd.Dqc1Instance(n=n, alpha=alpha, unitary=u))
                 res = qd.geometric_discord_2q(rho)
                 chi = qd.DensityMatrix(_dephased(rho, res.e_star), 2, rho.dim_b)
-                assert qd.hs_distance_sq(rho, chi) == pytest.approx(res.value, abs=1e-15)
+                assert hs_distance_sq(rho.mat, chi.mat) == pytest.approx(res.value, abs=1e-15)
                 if n <= 5:  # zero_discord_test at 2x64 needs gell_mann_basis(64), about 11 s
                     assert qd.zero_discord_test(chi).is_zero_discord
 
@@ -420,7 +407,7 @@ class TestOracle:
         value = qd.geometric_discord_2q(rho).value
         for seed in range(1000):
             chi = qd.random_zero_discord_state(seed)
-            assert qd.hs_distance_sq(rho, chi) >= value - 1e-10
+            assert hs_distance_sq(rho.mat, chi.mat) >= value - 1e-10
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"maxiter": 0}, {"maxiter": -5}])
     def test_rejects_empty_search(self, bell, kwargs):
@@ -429,3 +416,242 @@ class TestOracle:
 
     def test_one_step_is_allowed(self, bell):
         assert 0.0 <= qd.geometric_discord_oracle(bell, restarts=2, maxiter=1) <= 1.0
+
+
+def _oracle_simplices(restarts, seed):
+    starts = qd.geometric.oracle_starts(restarts, seed)
+    return starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
+
+
+def test_chi_distance_matches_state_distance():
+    rng = np.random.default_rng(4)
+    rho = qd.random_density_matrix(2, 2, 88)
+    b = qd.bloch_triple(rho)
+    z = rng.standard_normal((50, 9))
+    z[0, 3:6] = 0.0  # a conditional state at the centre of the ball
+    values = chi_distance_sq(z, b.x, b.y, b.corr)
+    assert values.shape == (50,)
+
+    def ball(v):
+        r = np.linalg.norm(v)
+        return v * np.tanh(r) / r if r > 1e-12 else v
+
+    for zi, val in zip(z, values):
+        theta, phi = zi[0], zi[1]
+        e = np.array(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+        )
+        p1 = 0.5 * (1.0 + np.tanh(zi[2]))
+        chi = qd.ZeroDiscordPoint.from_mixture(e, p1, ball(zi[3:6]), ball(zi[6:9])).to_state()
+        assert val == pytest.approx(hs_distance_sq(rho.mat, chi.mat), abs=1e-12)
+
+
+def test_chi_distance_bits_do_not_depend_on_memory_layout():
+    b = qd.bloch_triple(qd.random_density_matrix(2, 2, 31))
+    z = np.random.default_rng(6).standard_normal((80, 9))
+    wide = np.random.default_rng(7).standard_normal((160, 9))
+    wide[::2] = z  # wide[::2] is z as a row slice with a stride of two rows
+    values = chi_distance_sq(z, b.x, b.y, b.corr)
+    for other in (np.asfortranarray(z), wide[::2]):
+        assert np.array_equal(chi_distance_sq(other, b.x, b.y, b.corr), values)
+
+
+def test_ball_weight_is_one_at_the_radius_clamp():
+    # chi_distance_sq clamps the ball radius at 1e-12 and takes tanh(r)/r
+    # without a case for r = 0; that holds only while this ratio is exactly 1
+    assert np.tanh(1e-12) / 1e-12 == 1.0
+    assert np.array_equal(np.tanh(np.full(5, 1e-12)) / 1e-12, np.ones(5))
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_trial_points_are_the_centroid_formula(n):
+    # one step of nelder_mead evaluates cen + c (v - cen) for each moved
+    # vertex v and each c of reflection, expansion and both contractions
+    rng = np.random.default_rng(n)
+    sim = 10.0 * rng.standard_normal((5, n + 1, n)) + 100.0
+    seen = []
+
+    def fun(x):
+        seen.append(x.copy())
+        return (x * x).sum(axis=1) + x[:, 0]
+
+    nelder_mead(fun, sim, 1, -1.0, -1.0)
+    order = np.argsort(fun(seen[0]).reshape(5, n + 1), axis=1)
+    ordered = np.take_along_axis(sim, order[..., None], axis=1)
+    p = max(1, n // 3)
+    cen = ordered[:, : n + 1 - p].mean(axis=1)[:, None, None, :]
+    contract = 0.75 - 0.5 / n
+    coefs = np.array([-1.0, -(1.0 + 2.0 / n), -contract, contract])[:, None]
+    expected = cen + coefs * (ordered[:, n + 1 - p :, None, :] - cen)
+    got = seen[1].reshape(5, p, 4, n)
+    atol = 8.0 * np.finfo(float).eps * np.abs(sim).max()
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=atol)
+
+
+def test_oracle_search_deterministic():
+    rho = qd.random_density_matrix(2, 2, 13)
+    a = qd.geometric_discord_oracle(rho, restarts=8, maxiter=800)
+    b = qd.geometric_discord_oracle(rho, restarts=8, maxiter=800)
+    assert a == b
+
+
+def test_batched_simplices_do_not_interact():
+    b = qd.bloch_triple(qd.random_density_matrix(2, 2, 21))
+
+    def fun(z):
+        return chi_distance_sq(z, b.x, b.y, b.corr)
+
+    sim = _oracle_simplices(6, 2)
+    f_batch, x_batch = nelder_mead(fun, sim, 400, 1e-13, 1e-8)
+    for k in range(len(sim)):
+        f_alone, x_alone = nelder_mead(fun, sim[k : k + 1], 400, 1e-13, 1e-8)
+        assert f_alone[0] == f_batch[k]
+        assert np.array_equal(x_alone[0], x_batch[k])
+
+
+def test_simplex_freezes_converged_starts():
+    # a bowl around 0.3 next to a ramp that falls without end for x0 > 50:
+    # the bowl's simplex converges, then stays as it was while the ramp's
+    # simplex keeps expanding for every remaining step
+    calls = []
+
+    def fun(x):
+        calls.append(len(x))
+        return np.where(x[:, 0] > 50.0, -x[:, 0], ((x - 0.3) ** 2).sum(axis=1))
+
+    sim = _initial_simplices(np.array([[1.0, -2.0], [100.0, 1.0]]))
+    f_alone, x_alone = nelder_mead(fun, sim[:1], 300, 1e-13, 1e-10)
+    steps_alone = len(calls) - 1
+    assert steps_alone < 300  # stopped early: converged
+    np.testing.assert_allclose(x_alone[0], 0.3, atol=1e-9)
+
+    calls.clear()
+    f_batch, x_batch = nelder_mead(fun, sim, 300, 1e-13, 1e-10)
+    assert len(calls) - 1 >= 300  # the ramp never converges
+    assert f_batch[0] == f_alone[0]
+    assert np.array_equal(x_batch[0], x_alone[0])
+    assert x_batch[1, 0] > 1e6
+
+
+def _counted(fun):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return fun(x)
+
+    return counted, calls
+
+
+def _oracle_objective(seed):
+    b = qd.bloch_triple(qd.random_density_matrix(2, 2, seed))
+    return lambda z: chi_distance_sq(z, b.x, b.y, b.corr)
+
+
+def test_settle_stops_oracle_early_with_same_minimum():
+    sim = _oracle_simplices(32, 0)
+    for seed in range(5):  # criterion 03's first states
+        full, full_calls = _counted(_oracle_objective(seed))
+        settled, settled_calls = _counted(_oracle_objective(seed))
+        f_full, _ = nelder_mead(full, sim, 1500, 1e-13, 1e-8)
+        f_settled, _ = nelder_mead(settled, sim, 1500, 1e-13, 1e-8, settle=2)
+        assert len(settled_calls) < len(full_calls)
+        assert abs(f_settled.min() - f_full.min()) <= 1e-15
+
+
+def _three_basins(gap, floor):
+    # bowl A (minimum 0 near the origin), bowl B (minimum `gap` near x0 = 50)
+    # and a Rosenbrock valley (minimum `floor` near x0 = 100) that its
+    # simplex descends far more slowly than the bowls'
+    def fun(x):
+        x0, x1 = x[:, 0], x[:, 1]
+        bowl_a = (x0 - 0.3) ** 2 + (x1 - 0.3) ** 2
+        bowl_b = (x0 - 50.3) ** 2 + (x1 - 0.3) ** 2 + gap
+        u = x0 - 100.0
+        valley = floor + (1.0 - u) ** 2 + 100.0 * (x1 - u * u) ** 2
+        return np.where(x0 < 25.0, bowl_a, np.where(x0 < 75.0, bowl_b, valley))
+
+    starts = np.array([[1.0, -2.0], [51.0, -2.0], [98.8, 1.0]])
+    return fun, starts[:, None, :] + np.vstack([np.zeros(2), 0.5 * np.eye(2)])
+
+
+def _run_both(fun, sim, maxiter=2000):
+    plain, plain_calls = _counted(fun)
+    settled, settled_calls = _counted(fun)
+    f0, x0 = nelder_mead(plain, sim, maxiter, 1e-13, 1e-10)
+    f2, x2 = nelder_mead(settled, sim, maxiter, 1e-13, 1e-10, settle=2)
+    return (f0, x0, len(plain_calls)), (f2, x2, len(settled_calls))
+
+
+def test_settle_stops_when_two_frozen_agree_below_the_rest():
+    # control for the two tests below: the bowls agree and the valley is above
+    (f0, _, calls0), (f2, x2, calls2) = _run_both(*_three_basins(gap=0.0, floor=5.0))
+    assert calls2 < calls0
+    assert f2.min() == f0.min()
+    assert f2[2] > 5.0  # the valley's simplex stopped where it stood
+    np.testing.assert_allclose(x2[:2], [[0.3, 0.3], [50.3, 0.3]], atol=1e-9)
+
+
+def test_settle_waits_for_a_simplex_descending_below_the_frozen():
+    (f0, x0, calls0), (f2, x2, calls2) = _run_both(*_three_basins(gap=0.0, floor=-5.0))
+    assert calls2 == calls0
+    assert np.array_equal(f2, f0) and np.array_equal(x2, x0)
+    assert f2.min() < -4.0
+
+
+def test_settle_needs_frozen_values_to_agree_within_fatol():
+    (f0, x0, calls0), (f2, x2, calls2) = _run_both(*_three_basins(gap=1e-9, floor=5.0))
+    assert calls2 == calls0
+    assert np.array_equal(f2, f0) and np.array_equal(x2, x0)
+
+
+def test_settle_with_one_restart_is_the_plain_run():
+    sim = _oracle_simplices(1, 3)
+    (f0, x0, calls0), (f2, x2, calls2) = _run_both(_oracle_objective(7), sim, 1500)
+    assert calls2 == calls0
+    assert np.array_equal(f2, f0) and np.array_equal(x2, x0)
+
+
+def test_settle_survives_flat_steps_before_any_freeze():
+    # a constant objective makes every simplex flat from the first step, long
+    # before shrinking brings any of them within xatol
+    sim = _oracle_simplices(3, 1)
+    (f0, x0, calls0), (f2, x2, calls2) = _run_both(lambda z: np.zeros(len(z)), sim, 300)
+    assert calls2 == calls0
+    assert np.array_equal(x2, x0)
+
+
+@pytest.mark.parametrize("restarts, seed", [(16, 5), (16, 30), (8, 48), (8, 82), (8, 86)])
+def test_oracle_batches_stop_before_maxiter(restarts, seed):
+    # criterion 03's states that once ran into maxiter = 1500 at these restart
+    # counts; a batch that stops on its own gives the same answer with more room
+    sim = _oracle_simplices(restarts, 0)
+    runs = []
+    for maxiter in (1500, 3000):
+        fun, calls = _counted(_oracle_objective(seed))
+        f, x = nelder_mead(fun, sim, maxiter, 1e-13, 1e-8, settle=2)
+        runs.append((f, x, len(calls)))
+    (f0, x0, calls0), (f1, x1, calls1) = runs
+    assert calls0 == calls1 < 1500
+    assert np.array_equal(f0, f1) and np.array_equal(x0, x1)
+
+
+def test_simplex_converges_on_a_9d_quadratic():
+    # the oracle's dimension, without its objective: a convex quadratic with
+    # condition number 100 and a known minimizer
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    hess = (q * np.logspace(0, 2, 9)) @ q.T
+    xmin = rng.standard_normal(9)
+
+    def quadratic(x):
+        d = x - xmin
+        return np.einsum("mi,ij,mj->m", d, hess, d)
+
+    fun, calls = _counted(quadratic)
+    starts = 3.0 * rng.standard_normal((4, 9))
+    sim = starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
+    f, x = nelder_mead(fun, sim, 3000, 1e-13, 1e-8)
+    assert len(calls) - 1 < 3000  # every simplex froze before maxiter
+    assert np.abs(x - xmin).max() <= 1e-6
+    assert f.max() <= 1e-12

@@ -4,20 +4,7 @@ from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord import linalg
-from qdiscord.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
-
-
-class TestTensor:
-    def test_sigma_z_with_identity(self):
-        assert_allclose(qd.tensor(SIGMA_Z, ID2), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_identity_factors(self):
-        assert_allclose(qd.tensor(ID2, ID2), np.eye(4))
-
-    def test_sigma_x_pair_is_antidiagonal(self):
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1
-        assert_allclose(qd.tensor(SIGMA_X, SIGMA_X), expected)
+from qdiscord.linalg import ID2
 
 
 class TestDensityMatrix:
@@ -133,18 +120,6 @@ class TestPartialTrace:
             qd.partial_trace(bell, keep)
 
 
-class TestSwap:
-    def test_involution(self):
-        rho = qd.random_density_matrix(2, 3, 3)
-        back = qd.swap_subsystems(qd.swap_subsystems(rho))
-        assert_allclose(back.mat, rho.mat, atol=0)
-
-    def test_swaps_marginals(self):
-        rho = qd.random_density_matrix(2, 3, 4)
-        swapped = qd.swap_subsystems(rho)
-        assert_allclose(qd.partial_trace(swapped, "A"), qd.partial_trace(rho, "B"), atol=1e-14)
-
-
 class TestRealignedPair:
     @pytest.mark.parametrize(
         "dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 16)], ids=lambda d: f"{d[0]}x{d[1]}"
@@ -166,44 +141,6 @@ class TestRealignedPair:
         basis = qd.gell_mann_basis(da).ops
         roundtrip = linalg.a_side_sum(basis, linalg.a_side_blocks(rho, basis))
         assert_allclose(roundtrip, rho.mat, atol=1e-14)
-
-
-class TestEigHermitian:
-    def test_sigma_z(self):
-        spec = qd.eig_hermitian(SIGMA_Z)
-        assert_allclose(spec.eigenvalues, [1, -1])
-
-    def test_degenerate_identity(self):
-        spec = qd.eig_hermitian(np.eye(3))
-        assert_allclose(spec.eigenvalues, [1, 1, 1])
-
-    def test_sigma_x_eigenvector(self):
-        spec = qd.eig_hermitian(SIGMA_X)
-        assert_allclose(spec.eigenvalues, [1, -1])
-        v = spec.eigenvectors[:, 0]
-        overlap = abs(np.vdot(v, np.array([1, 1]) / np.sqrt(2)))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(qd.NonHermitianError):
-            qd.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
-    def test_rejects_bad_tolerance(self, bad):
-        # with atol = nan or inf the non-Hermitian matrix was accepted
-        with pytest.raises(qd.ValidationError, match="^atol must be finite and >= 0"):
-            qd.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), atol=bad)
-
-    def test_residuals_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            h = g + g.conj().T
-            spec = qd.eig_hermitian(h)
-            for lam, v in zip(spec.eigenvalues, spec.eigenvectors.T):
-                assert np.linalg.norm(h @ v - lam * v) <= 1e-9
-            gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-            assert np.linalg.norm(gram - np.eye(6)) <= 1e-9
 
 
 class TestEntropy:
@@ -254,53 +191,6 @@ class TestEntropy:
         assert qd.von_neumann_entropy(skew) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestHsInner:
-    def test_orthogonal_paulis(self):
-        assert qd.hs_inner(SIGMA_X, SIGMA_Y) == pytest.approx(0.0, abs=1e-15)
-
-    def test_norm_squared(self):
-        assert qd.hs_inner(SIGMA_Z, SIGMA_Z) == pytest.approx(2.0)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert qd.hs_inner(a, b) == pytest.approx(np.conj(qd.hs_inner(b, a)))
-
-    @pytest.mark.parametrize("d", [2, 5, 16])
-    def test_matches_written_out_trace(self, d):
-        rng = np.random.default_rng(d)
-        a, b = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
-        # unit Frobenius norm, so |Tr(a† b)| <= 1 and 1e-14 is an absolute bound
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        expected = np.trace(a.conj().T @ b)
-        assert abs(qd.hs_inner(a, b) - expected) <= 1e-14
-        assert isinstance(qd.hs_inner(a, b), complex)
-
-    @pytest.mark.parametrize(
-        "shape_a, shape_b", [((2, 3), (2, 4)), ((2, 2), (3, 3)), ((4,), (4,)), ((2, 2, 2), (2, 2, 2))]
-    )
-    def test_rejects_mismatched_or_non_matrix_operands(self, shape_a, shape_b):
-        with pytest.raises(qd.DimensionError, match="same shape"):
-            qd.hs_inner(np.ones(shape_a), np.ones(shape_b))
-
-
-class TestCommutatorNorm:
-    def test_self_commutes(self):
-        assert qd.commutator_norm(SIGMA_X, SIGMA_X) == 0.0
-
-    def test_pauli_pair(self):
-        assert qd.commutator_norm(SIGMA_X, SIGMA_Y) == pytest.approx(2 * np.sqrt(2), abs=1e-14)
-
-    def test_diagonal_matrices(self):
-        assert qd.commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(qd.DimensionError):
-            qd.commutator_norm(np.eye(2), np.eye(3))
-
-
 _NAN_ENTRY = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
 
@@ -308,12 +198,10 @@ _NAN_ENTRY = np.array([[np.nan, 0.0], [0.0, 1.0]])
     "call, error",
     [
         (lambda: qd.HermitianBasis(2, np.full((4, 2, 2), np.nan)), qd.NonHermitianError),
-        (lambda: qd.expand(_NAN_ENTRY, qd.gell_mann_basis(2)), qd.NonHermitianError),
-        (lambda: qd.eig_hermitian(_NAN_ENTRY), qd.NonHermitianError),
         (lambda: qd.von_neumann_entropy(_NAN_ENTRY), qd.ValidationError),
         (lambda: qd.von_neumann_entropy(np.diag([np.inf, 1.0])), qd.ValidationError),
     ],
-    ids=["basis", "expand", "eig_hermitian", "entropy-nan", "entropy-inf"],
+    ids=["basis", "entropy-nan", "entropy-inf"],
 )
 def test_nan_fails_every_check(call, error):
     with pytest.raises(error):
@@ -343,6 +231,15 @@ _U4 = qd.random_unitary(4, 0)
         (lambda: qd.random_unitary(2, 1.5), "seed must be an"),
         (lambda: qd.gell_mann_basis(2.5), "d must be an"),
         (lambda: qd.random_zero_discord_state(-1), "need seed >= 0"),
+        # a boolean once passed as 1: bell_state(True) gave Phi-
+        (lambda: qd.bell_state(True), "index must be an"),
+        (lambda: qd.bell_state(np.True_), "index must be an"),
+        (lambda: qd.bell_state(1.5), "index must be an"),
+        (lambda: qd.facet_state(True, -1, 1), "s1 must be an"),
+        (lambda: qd.facet_state(1, np.True_, 1), "s2 must be an"),
+        (lambda: qd.facet_state(1, -1, True), "s3 must be an"),
+        (lambda: qd.facet_state(1, -1, np.True_), "s3 must be an"),
+        (lambda: qd.facet_state(1, -1, 1.5), "s3 must be an"),
         (lambda: qd.Dqc1Instance(n=2.0, alpha=1.0, unitary=_U4).n, None),
         (lambda: qd.DensityMatrix(np.eye(4) / 4, 2.0, np.int64(2)).dim, None),
     ],
@@ -350,7 +247,9 @@ _U4 = qd.random_unitary(4, 0)
         "oracle-restarts-fraction", "oracle-restarts-bool", "oracle-maxiter", "oracle-seed",
         "samples", "sample-seed", "n-bool", "n-fraction", "dim_a", "dim_b-str",
         "random-state-dim", "random-state-seed", "unitary-dim", "unitary-seed", "gell-mann-d",
-        "zero-discord-seed", "n-integral-float", "dims-integral-float",
+        "zero-discord-seed", "bell-bool", "bell-numpy-bool", "bell-fraction", "facet-bool-s1",
+        "facet-numpy-bool-s2", "facet-bool",
+        "facet-numpy-bool", "facet-fraction", "n-integral-float", "dims-integral-float",
     ],
 )
 def test_counts_and_seeds_are_integers(call, message):

@@ -70,6 +70,11 @@ class TestBellStates:
         with pytest.raises(ValueError):
             qd.bell_state(4)
 
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_index_outside_range(self, index):
+        with pytest.raises(qd.ValidationError, match="^Bell index must be 0..3"):
+            qd.bell_state(index)
+
 
 class TestFourNonorthogonal:
     def test_trace(self, eq4_state):
@@ -103,9 +108,27 @@ class TestFacetStates:
             1 / 18, abs=1e-12
         )
 
+    @pytest.mark.parametrize("signs", [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)])
+    def test_every_facet_center(self, signs):
+        # t = s/3 lies on an octahedron facet, and D_G = (|t|^2 - max t_i^2)/4 = 1/18
+        t = np.diag(qd.bloch_triple(qd.facet_state(*signs)).corr)
+        assert np.abs(t).sum() == pytest.approx(1.0, abs=1e-12)
+        assert qd.octahedron_contains(t)
+        assert qd.geometric_discord_2q(qd.facet_state(*signs)).value == pytest.approx(1 / 18, abs=1e-12)
+
     def test_rejects_bad_signs(self):
         with pytest.raises(ValueError):
             qd.facet_state(1, 0, 1)
+
+    @pytest.mark.parametrize("signs", [(0, 1, 1), (1, 2, 1), (1, 1, -3)])
+    def test_rejects_sign_off_unit(self, signs):
+        with pytest.raises(qd.ValidationError, match="^facet signs must be \\+1 or -1"):
+            qd.facet_state(*signs)
+
+
+def test_integral_float_index_and_signs_are_kept():
+    assert np.array_equal(qd.bell_state(1.0).mat, qd.bell_state(1).mat)
+    assert np.array_equal(qd.facet_state(1.0, -1.0, 1.0).mat, qd.facet_state(1, -1, 1).mat)
 
 
 class TestClassicalQuantum:
@@ -149,6 +172,22 @@ class TestClassicalQuantum:
             qd.classical_quantum_state(
                 [0.7, 0.7], [np.array([1, 0]), np.array([0, 1])], [ID2 / 2, ID2 / 2]
             )
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(qd.ValidationError, match="^p, kets and states must have equal lengths"):
+            qd.classical_quantum_state([0.5, 0.5], [np.array([1, 0])], [ID2 / 2, ID2 / 2])
+
+    def test_rejects_negative_probability(self):
+        # sums to 1, so only the sign check can refuse it
+        with pytest.raises(qd.ValidationError, match="^p must be nonnegative"):
+            qd.classical_quantum_state(
+                [1.2, -0.2], [np.array([1, 0]), np.array([0, 1])], [ID2 / 2, ID2 / 2]
+            )
+
+    def test_rejects_more_kets_than_dim_a(self):
+        kets = [np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / np.sqrt(2)]
+        with pytest.raises(qd.ValidationError, match="^at most 2 orthonormal kets fit in dimension 2"):
+            qd.classical_quantum_state([0.4, 0.3, 0.3], kets, [ID2 / 2] * 3)
 
     def test_rejects_nonorthogonal_kets(self):
         plus = np.array([1, 1]) / np.sqrt(2)
@@ -230,6 +269,21 @@ class TestMeasurePrepareChannel:
         plus = np.array([1, 1]) / np.sqrt(2)
         out = qd.measure_prepare_channel_a(rho, [np.array([1, 0]), plus])
         assert_allclose(qd.partial_trace(out, "B"), qd.partial_trace(rho, "B"), atol=1e-12)
+
+    def test_rejects_qutrit_a(self):
+        rho = qd.random_density_matrix(3, 2, 9)
+        with pytest.raises(qd.DimensionError, match="^channel is defined for a qubit A side"):
+            qd.measure_prepare_channel_a(rho, [np.array([1, 0]), np.array([0, 1])])
+
+    @pytest.mark.parametrize(
+        "kets",
+        [[[1, 0]], [[1, 0], [0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0]]],
+        ids=["one-ket", "three-kets", "qutrit-kets"],
+    )
+    def test_rejects_other_than_two_qubit_kets(self, kets):
+        rho = qd.random_density_matrix(2, 2, 9)
+        with pytest.raises(qd.ValidationError, match="^need exactly two single-qubit kets"):
+            qd.measure_prepare_channel_a(rho, [np.array(k) for k in kets])
 
     def test_rejects_unnormalized_kets(self):
         rho = qd.random_density_matrix(2, 2, 9)
