@@ -21,6 +21,8 @@ from .linalg import DensityMatrix, _check_tolerances, _expand, _is_integer
 RANK_ATOL = 1e-10
 RANK_RTOL = 1e-9
 COMMUTATOR_TOL = 1e-9
+# complex entries (1 MiB) per batched commutator temporary; at 16x16 a block is one row
+_COMM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,10 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """Correlation matrix r_nm = Tr[rho (A_n x B_m)] with eager SVD."""
     _check_tolerances(atol=atol, rtol=rtol)
+    if rho.dim_a < 2 or rho.dim_b < 2:
+        raise DimensionError(
+            f"the criterion needs subsystem dimensions >= 2, got state dims ({rho.dim_a}, {rho.dim_b})"
+        )
     basis_a = basis_a if basis_a is not None else gell_mann_basis(rho.dim_a)
     basis_b = basis_b if basis_b is not None else gell_mann_basis(rho.dim_b)
     if basis_a.dim != rho.dim_a or basis_b.dim != rho.dim_b:
@@ -105,7 +111,7 @@ def correlation_matrix(
 
 def numerical_rank(cm: CorrelationMatrix) -> int:
     """Number of singular values above the resolved cutoff."""
-    return int(np.sum(cm.singulars > cm.rank_tolerance))
+    return int(np.count_nonzero(cm.singulars > cm.rank_tolerance))
 
 
 def local_operators(cm: CorrelationMatrix) -> list[LocalOperatorPair]:
@@ -121,7 +127,8 @@ def local_operators(cm: CorrelationMatrix) -> list[LocalOperatorPair]:
 
 def _rotated_operators(columns: np.ndarray, basis: HermitianBasis) -> np.ndarray:
     """sum_k columns[k, n] basis.ops[k] for every column n, as one BLAS product."""
-    return np.tensordot(columns.T, basis.ops, axes=1)
+    d = basis.dim
+    return (columns.T @ basis.ops.reshape(-1, d * d)).reshape(-1, d, d)
 
 
 def zero_discord_test(
@@ -147,10 +154,14 @@ def zero_discord_test(
 
     ops = _rotated_operators(cm.svd_u[:, :rank], cm.basis_a)
     max_comm = 0.0
-    for i in range(rank - 1):
-        # [S_i, S_j] for every j > i as one batched product: O(rank d_A^2) memory.
-        comm = ops[i] @ ops[i + 1 :] - ops[i + 1 :] @ ops[i]
-        max_comm = max(max_comm, float(np.linalg.norm(comm, axis=(1, 2)).max()))
+    # [S_i, S_j] for a block of rows i against every j > i0, one batched product per block
+    # of at most _COMM_BLOCK entries.  The pairs with j <= i add only [S_i, S_i] = 0 and
+    # -[S_j, S_i], whose norm the row j already gave, so the maximum is unchanged.
+    block = max(1, _COMM_BLOCK // max(1, rank * rho.dim_a**2))
+    for i0 in range(0, rank - 1, block):
+        left, right = ops[i0 : i0 + block, None], ops[i0 + 1 :]
+        comm = left @ right - right @ left
+        max_comm = max(max_comm, float(np.linalg.norm(comm, axis=(2, 3)).max()))
 
     return ZeroDiscordVerdict(
         is_zero_discord=not witness and max_comm <= tol,

@@ -81,6 +81,8 @@ def classical_quantum_state(p, kets, states) -> DensityMatrix:
     mats = [np.asarray(getattr(s, "mat", s), dtype=complex) for s in states]
     if len(kets) != len(p) or len(mats) != len(p):
         raise ValidationError("p, kets and states must have equal lengths")
+    if any(k.ndim != 1 or k.shape != kets[0].shape for k in kets):
+        raise DimensionError(f"kets must be 1-d and of one length, got {[k.shape for k in kets]}")
     if any(m.ndim != 2 or m.shape != mats[0].shape[:1] * 2 for m in mats):
         raise DimensionError(f"B states must be square and of one size, got {[m.shape for m in mats]}")
     if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-10):  # written so that NaN fails

@@ -346,6 +346,23 @@ class TestZeroDiscordTest:
         assert verdict.witness_triggered
         assert peak < 64 * 2**20
 
+    # 1 takes one row per product; 128 splits the 3 rows of a rank-4 4x2 state 2 + 1, 405 the
+    # 8 rows of a rank-9 3x3 state 5 + 3, and 1536 the 15 rows of a rank-16 4x4 state 6 + 6 + 3
+    @pytest.mark.parametrize("entries", [1, 128, 405, 1536])
+    def test_commutator_blocks_do_not_change_the_verdict(self, monkeypatch, entries):
+        states = []
+        for dims in [(3, 3), (4, 2), (4, 4)]:
+            for seed in range(3):
+                states += [qd.random_density_matrix(*dims, seed), _random_cq_state(seed, *dims)]
+        expected = [qd.zero_discord_test(rho) for rho in states]
+        monkeypatch.setattr(qd.correlation, "_COMM_BLOCK", entries)
+        assert [qd.zero_discord_test(rho) for rho in states] == expected
+
+    def test_rank_cutoff_above_every_singular_value(self):
+        # rank_atol is any finite value >= 0; a cutoff of 10 keeps no operator at all
+        verdict = qd.zero_discord_test(qd.random_density_matrix(3, 3, 0), rank_atol=10.0)
+        assert verdict == qd.correlation.ZeroDiscordVerdict(True, 0, 0.0, False)
+
     def test_agrees_with_geometric_discord_on_clear_cases(self):
         states = [_random_cq_state(seed) for seed in range(50)]
         states += [qd.random_density_matrix(2, 2, 700 + seed) for seed in range(50)]

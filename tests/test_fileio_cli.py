@@ -177,6 +177,16 @@ class TestCliAnalyze:
         assert code == 2
         assert "trace" in err
 
+    def test_one_dimensional_subsystem_exits_2_naming_the_dims(self, capsys, tmp_path):
+        rho = qd.DensityMatrix(np.eye(2) / 2, 1, 2)
+        with pytest.raises(qd.DimensionError, match=r"state dims \(1, 2\)"):
+            qd.zero_discord_test(rho)
+        path = tmp_path / "d12.json"
+        fileio.save_state(rho, path)
+        code, _, err = _run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert "(1, 2)" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = _run(capsys, ["analyze", "/nonexistent/state.json"])
         assert code == 2

@@ -208,6 +208,16 @@ class TestClassicalQuantum:
             qd.classical_quantum_state(p, kets, states)
 
     @pytest.mark.parametrize(
+        "kets, shapes",
+        [([[1, 0], [0, 1, 0]], r"\[\(2,\), \(3,\)\]"), ([[[1, 0]]], r"\[\(1, 2\)\]")],
+        ids=["lengths-differ", "two-dimensional"],
+    )
+    def test_rejects_bad_ket_shapes(self, kets, shapes):
+        p = [1.0 / len(kets)] * len(kets)
+        with pytest.raises(qd.DimensionError, match=shapes):
+            qd.classical_quantum_state(p, kets, [ID2 / 2] * len(kets))
+
+    @pytest.mark.parametrize(
         "p, kets, match",
         [
             ([np.nan, 1.0], [[1, 0], [0, 1]], "^p must"),
