@@ -6,7 +6,7 @@ discord by projective measurement optimization, and DQC1 trace-estimation
 analysis.
 """
 
-from .basis import HermitianBasis, gell_mann_basis
+from .basis import gell_mann_basis
 from .correlation import (
     CorrelationMatrix,
     LocalOperatorPair,

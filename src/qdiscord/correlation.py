@@ -1,11 +1,12 @@
 """Correlation matrix of a bipartite state and the zero-discord criterion.
 
-Expanding rho = sum_nm r_nm A_n x B_m over orthonormal Hermitian bases gives
-a real matrix R whose SVD rotates the local bases into operators S_n, F_n
-with rho = sum_n c_n S_n x F_n.  The state has zero discord iff R keeps at
-most d_A singular values and the retained S_n pairwise commute.  The
-commutator is bilinear, so any orthonormal basis of the retained span, and
-hence any SVD under degenerate singular values, gives the same verdict.
+Expanding rho = sum_nm r_nm A_n x B_m over the local Gell-Mann bases gives a
+real matrix R whose SVD rotates them into operators S_n, F_n with
+rho = sum_n c_n S_n x F_n.  The state has zero discord iff R keeps at most
+d_A singular values and the retained S_n pairwise commute.  The commutator
+is bilinear, so any orthonormal basis of the retained span, and hence any
+SVD under degenerate singular values or any other orthonormal Hermitian
+local bases (which only rotate R), gives the same verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermitianBasis, gell_mann_basis
+from .basis import gell_mann_basis
 from .errors import DimensionError, ValidationError
 from .linalg import DensityMatrix, _check_tolerances, _expand, _is_integer
 
@@ -31,13 +32,14 @@ class CorrelationMatrix:
 
     r = svd_u @ diag(singulars) @ svd_v.T, where svd_u is d_A² x k and svd_v
     is d_B² x k with orthonormal columns, k = min(d_A², d_B²).
+    basis_a and basis_b are the (d², d, d) Gell-Mann stacks of A and B.
     rank_tolerance is the resolved singular-value cutoff used for the
     numerical rank.
     """
 
     r: np.ndarray
-    basis_a: HermitianBasis
-    basis_b: HermitianBasis
+    basis_a: np.ndarray
+    basis_b: np.ndarray
     svd_u: np.ndarray
     svd_v: np.ndarray
     singulars: np.ndarray
@@ -76,8 +78,6 @@ def _rank_cutoff(c: np.ndarray, atol: float, rtol: float) -> float:
 
 def correlation_matrix(
     rho: DensityMatrix,
-    basis_a: HermitianBasis | None = None,
-    basis_b: HermitianBasis | None = None,
     atol: float = RANK_ATOL,
     rtol: float = RANK_RTOL,
 ) -> CorrelationMatrix:
@@ -87,25 +87,11 @@ def correlation_matrix(
         raise DimensionError(
             f"the criterion needs subsystem dimensions >= 2, got state dims ({rho.dim_a}, {rho.dim_b})"
         )
-    basis_a = basis_a if basis_a is not None else gell_mann_basis(rho.dim_a)
-    basis_b = basis_b if basis_b is not None else gell_mann_basis(rho.dim_b)
-    if basis_a.dim != rho.dim_a or basis_b.dim != rho.dim_b:
-        raise DimensionError(
-            f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match state dims "
-            f"({rho.dim_a}, {rho.dim_b})"
-        )
-    r = _expand(rho, basis_a.ops, basis_b.ops)
+    basis_a, basis_b = gell_mann_basis(rho.dim_a), gell_mann_basis(rho.dim_b)
+    r = _expand(rho, basis_a, basis_b)
     u, c, vh = np.linalg.svd(r, full_matrices=False)
     return CorrelationMatrix(
-        r=r,
-        basis_a=basis_a,
-        basis_b=basis_b,
-        svd_u=u,
-        svd_v=vh.T,
-        singulars=c,
-        rank_tolerance=_rank_cutoff(c, atol, rtol),
-        dim_a=rho.dim_a,
-        dim_b=rho.dim_b,
+        r, basis_a, basis_b, u, vh.T, c, _rank_cutoff(c, atol, rtol), rho.dim_a, rho.dim_b
     )
 
 
@@ -125,17 +111,15 @@ def local_operators(cm: CorrelationMatrix) -> list[LocalOperatorPair]:
     ]
 
 
-def _rotated_operators(columns: np.ndarray, basis: HermitianBasis) -> np.ndarray:
-    """sum_k columns[k, n] basis.ops[k] for every column n, as one BLAS product."""
-    d = basis.dim
-    return (columns.T @ basis.ops.reshape(-1, d * d)).reshape(-1, d, d)
+def _rotated_operators(columns: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_k columns[k, n] basis[k] for every column n, as one BLAS product."""
+    d = basis.shape[1]
+    return (columns.T @ basis.reshape(-1, d * d)).reshape(-1, d, d)
 
 
 def zero_discord_test(
     rho: DensityMatrix,
     tol: float = COMMUTATOR_TOL,
-    basis_a: HermitianBasis | None = None,
-    basis_b: HermitianBasis | None = None,
     rank_atol: float = RANK_ATOL,
     rank_rtol: float = RANK_RTOL,
 ) -> ZeroDiscordVerdict:
@@ -148,7 +132,7 @@ def zero_discord_test(
     columns of U), so these norms need no rescaling.
     """
     _check_tolerances(tol=tol, rank_atol=rank_atol, rank_rtol=rank_rtol)
-    cm = correlation_matrix(rho, basis_a, basis_b, atol=rank_atol, rtol=rank_rtol)
+    cm = correlation_matrix(rho, atol=rank_atol, rtol=rank_rtol)
     rank = numerical_rank(cm)
     witness = rank > rho.dim_a
 

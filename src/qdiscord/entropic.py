@@ -44,7 +44,8 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic quasi-uniform lattice of n unit vectors."""
+    """Deterministic quasi-uniform lattice of n >= 1 unit vectors."""
+    n = _count_arg("n", n, 1)
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))

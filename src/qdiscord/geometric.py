@@ -62,7 +62,13 @@ def bloch_triple(rho: DensityMatrix) -> BlochTriple:
 
 
 def state_from_bloch(x, y, corr) -> np.ndarray:
-    """Two-qubit matrix (1x1 + x.sigma x 1 + 1 x y.sigma + sum T_ij sigma_i x sigma_j)/4."""
+    """Two-qubit matrix (1x1 + x.sigma x 1 + 1 x y.sigma + sum T_ij sigma_i x sigma_j)/4.
+
+    x and y must be 3-vectors and corr (T) a 3x3 matrix (DimensionError).
+    """
+    for name, value, shape in (("x", x, (3,)), ("y", y, (3,)), ("corr", corr, (3, 3))):
+        if np.shape(value) != shape:
+            raise DimensionError(f"{name} must have shape {shape}, got {np.shape(value)}")
     coeffs = np.empty((4, 4))
     coeffs[0, 0] = 1.0
     coeffs[1:, 0] = x

@@ -77,6 +77,8 @@ def classical_quantum_state(p, kets, states) -> DensityMatrix:
     on B (raw arrays or DensityMatrix values of a single system).
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise DimensionError(f"p must be a 1-d array of weights, got shape {p.shape}")
     kets = [np.asarray(k, dtype=complex) for k in kets]
     mats = [np.asarray(getattr(s, "mat", s), dtype=complex) for s in states]
     if len(kets) != len(p) or len(mats) != len(p):

@@ -39,5 +39,22 @@ def swap_subsystems(rho):
 
 
 def gell_mann_coefficients(h, basis):
-    """v_n = Tr(h A_n) over a basis' operator stack."""
-    return np.einsum("ij,nji->n", h, basis.ops).real
+    """v_n = Tr(h A_n) over an operator stack."""
+    return np.einsum("ij,nji->n", h, basis).real
+
+
+def zero_discord_verdict(rho, ops_a, ops_b, tol=1e-9, rank_atol=1e-10, rank_rtol=1e-9):
+    """(is_zero_discord, rank_l) of the paper's criterion over any orthonormal Hermitian bases.
+
+    r_nm = Tr[rho (A_n x B_m)] by einsum, its SVD, and the largest ||[S_i, S_j]||_F over
+    the retained S_n = sum_k U_kn A_k, one pair at a time.
+    """
+    r = np.einsum("abcd,nca,mdb->nm", rho.blocks(), ops_a, ops_b).real
+    u, c, _ = np.linalg.svd(r)
+    rank = int(np.sum(c > max(rank_atol, rank_rtol * c[0])))
+    s = np.einsum("kn,kij->nij", u[:, :rank], ops_a)
+    comm = max(
+        (commutator_norm(s[i], s[j]) for i in range(rank) for j in range(i + 1, rank)),
+        default=0.0,
+    )
+    return rank <= rho.dim_a and comm <= tol, rank

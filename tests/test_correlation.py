@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord.linalg import ID2
-from references import commutator_norm
+from references import commutator_norm, zero_discord_verdict
 
 BAD_TOLERANCES = [float("nan"), -1.0, float("inf")]
 
@@ -80,16 +80,11 @@ class TestCorrelationMatrix:
         with pytest.raises(qd.ValidationError, match=f"^{name} must be finite and >= 0"):
             qd.correlation_matrix(bell, **{name: bad})
 
-    def test_rejects_basis_mismatch(self):
-        rho = qd.random_density_matrix(2, 2, 0)
-        with pytest.raises(qd.DimensionError):
-            qd.correlation_matrix(rho, basis_a=qd.gell_mann_basis(3))
-
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 8), (2, 16)])
     def test_entries_match_elementwise_sum(self, dims):
         rho = qd.random_density_matrix(*dims, 40 + sum(dims))
         cm = qd.correlation_matrix(rho)
-        ops_a, ops_b = cm.basis_a.ops, cm.basis_b.ops
+        ops_a, ops_b = cm.basis_a, cm.basis_b
         # r_nm = Tr[rho (A_n x B_m)], one Kronecker product at a time
         expected = np.array(
             [[np.trace(rho.mat @ np.kron(a, b)).real for b in ops_b] for a in ops_a]
@@ -157,8 +152,8 @@ class TestLocalOperators:
         pairs = qd.local_operators(cm)
         assert len(pairs) == qd.numerical_rank(cm)
         for n, p in enumerate(pairs):
-            op_a = np.einsum("k,kij->ij", cm.svd_u[:, n], cm.basis_a.ops)
-            op_b = np.einsum("k,kij->ij", cm.svd_v[:, n], cm.basis_b.ops)
+            op_a = np.einsum("k,kij->ij", cm.svd_u[:, n], cm.basis_a)
+            op_b = np.einsum("k,kij->ij", cm.svd_v[:, n], cm.basis_b)
             assert np.abs(p.op_a - op_a).max() <= 1e-14
             assert np.abs(p.op_b - op_b).max() <= 1e-14
 
@@ -243,27 +238,27 @@ class TestZeroDiscordTest:
                 assert not verdict.is_zero_discord
 
     def test_basis_covariance(self):
-        # rotate the traceless sector of both local bases by a seeded
-        # orthogonal matrix; verdicts must not move
+        # rotate the traceless sector of both local bases by a seeded orthogonal matrix;
+        # the reference verdict over those bases must match the library's Gell-Mann one
         rng = np.random.default_rng(7)
 
         def rotated_basis(d):
-            base = qd.gell_mann_basis(d)
             k = d * d - 1
             q, _ = np.linalg.qr(rng.standard_normal((k, k)))
             mix = np.zeros((d * d, d * d))
             mix[0, 0] = 1.0
             mix[1:, 1:] = q
-            return qd.HermitianBasis(dim=d, ops=np.einsum("nk,kij->nij", mix, base.ops))
+            return np.einsum("nk,kij->nij", mix, qd.gell_mann_basis(d))
 
         for rho, expected in [
             (_random_cq_state(21), True),
             (qd.four_nonorthogonal_state(), False),
             (qd.bell_state(1), False),
         ]:
-            ba = rotated_basis(rho.dim_a)
-            bb = rotated_basis(rho.dim_b)
-            assert qd.zero_discord_test(rho, basis_a=ba, basis_b=bb).is_zero_discord == expected
+            verdict = qd.zero_discord_test(rho)
+            assert verdict.is_zero_discord == expected
+            ref = zero_discord_verdict(rho, rotated_basis(rho.dim_a), rotated_basis(rho.dim_b))
+            assert ref == (verdict.is_zero_discord, verdict.rank_l)
 
     def test_local_unitary_invariance(self):
         for seed, rho in [(0, _random_cq_state(31)), (1, qd.bell_state(2)), (2, qd.four_nonorthogonal_state())]:
@@ -312,27 +307,11 @@ class TestZeroDiscordTest:
                 assert abs(got - expected) <= 1e-14
 
     def test_local_operators_are_normalized(self):
-        # Gell-Mann bases, then the seeded rotations of test_basis_covariance
-        rng = np.random.default_rng(7)
-
-        def rotated_basis(d):
-            base = qd.gell_mann_basis(d)
-            k = d * d - 1
-            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-            mix = np.zeros((d * d, d * d))
-            mix[0, 0] = 1.0
-            mix[1:, 1:] = q
-            return qd.HermitianBasis(dim=d, ops=np.einsum("nk,kij->nij", mix, base.ops))
-
         states = [_random_cq_state(21), qd.four_nonorthogonal_state(), qd.bell_state(1)]
         states += [qd.random_density_matrix(3, 2, 4), _random_cq_state(5, 3, 3)]
         for rho in states:
-            for ba, bb in [
-                (None, None),
-                (rotated_basis(rho.dim_a), rotated_basis(rho.dim_b)),
-            ]:
-                for p in qd.local_operators(qd.correlation_matrix(rho, ba, bb)):
-                    assert abs(np.linalg.norm(p.op_a) - 1.0) <= 1e-12
+            for p in qd.local_operators(qd.correlation_matrix(rho)):
+                assert abs(np.linalg.norm(p.op_a) - 1.0) <= 1e-12
 
     def test_large_state_memory_stays_linear_in_rank(self):
         # 16x16 keeps 256 operators; one k x k x d_A x d_A product stack alone is 268 MB

@@ -138,7 +138,7 @@ class TestRealignedPair:
         expected = sum(np.kron(op, x) for op, x in zip(ops, blocks))
         assert_allclose(linalg.a_side_sum(ops, blocks), expected, atol=1e-12)
 
-        basis = qd.gell_mann_basis(da).ops
+        basis = qd.gell_mann_basis(da)
         roundtrip = linalg.a_side_sum(basis, linalg.a_side_blocks(rho, basis))
         assert_allclose(roundtrip, rho.mat, atol=1e-14)
 
@@ -197,11 +197,10 @@ _NAN_ENTRY = np.array([[np.nan, 0.0], [0.0, 1.0]])
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: qd.HermitianBasis(2, np.full((4, 2, 2), np.nan)), qd.NonHermitianError),
         (lambda: qd.von_neumann_entropy(_NAN_ENTRY), qd.ValidationError),
         (lambda: qd.von_neumann_entropy(np.diag([np.inf, 1.0])), qd.ValidationError),
     ],
-    ids=["basis", "entropy-nan", "entropy-inf"],
+    ids=["entropy-nan", "entropy-inf"],
 )
 def test_nan_fails_every_check(call, error):
     with pytest.raises(error):
@@ -230,6 +229,10 @@ _U4 = qd.random_unitary(4, 0)
         (lambda: qd.random_unitary(2.5, 0), "d must be an"),
         (lambda: qd.random_unitary(2, 1.5), "seed must be an"),
         (lambda: qd.gell_mann_basis(2.5), "d must be an"),
+        (lambda: qd.fibonacci_sphere(2.5), "n must be an"),
+        (lambda: qd.fibonacci_sphere(True), "n must be an"),
+        (lambda: qd.fibonacci_sphere(-1), "need n >= 1"),
+        (lambda: qd.fibonacci_sphere(0), "need n >= 1"),
         (lambda: qd.random_zero_discord_state(-1), "need seed >= 0"),
         # a boolean once passed as 1: bell_state(True) gave Phi-
         (lambda: qd.bell_state(True), "index must be an"),
@@ -247,6 +250,7 @@ _U4 = qd.random_unitary(4, 0)
         "oracle-restarts-fraction", "oracle-restarts-bool", "oracle-maxiter", "oracle-seed",
         "samples", "sample-seed", "n-bool", "n-fraction", "dim_a", "dim_b-str",
         "random-state-dim", "random-state-seed", "unitary-dim", "unitary-seed", "gell-mann-d",
+        "sphere-fraction", "sphere-bool", "sphere-negative", "sphere-zero",
         "zero-discord-seed", "bell-bool", "bell-numpy-bool", "bell-fraction", "facet-bool-s1",
         "facet-numpy-bool-s2", "facet-bool",
         "facet-numpy-bool", "facet-fraction", "n-integral-float", "dims-integral-float",

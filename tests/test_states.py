@@ -207,6 +207,11 @@ class TestClassicalQuantum:
         with pytest.raises(qd.DimensionError, match=shapes):
             qd.classical_quantum_state(p, kets, states)
 
+    def test_rejects_scalar_p(self):
+        # a scalar once reached len(p) and raised a TypeError
+        with pytest.raises(qd.DimensionError, match=r"^p must be a 1-d array"):
+            qd.classical_quantum_state(1.0, [np.array([1, 0])], [ID2 / 2])
+
     @pytest.mark.parametrize(
         "kets, shapes",
         [([[1, 0], [0, 1, 0]], r"\[\(2,\), \(3,\)\]"), ([[[1, 0]]], r"\[\(1, 2\)\]")],
