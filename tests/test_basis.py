@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
+from qdiscord.basis import _gell_mann_traces
 from qdiscord.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from references import gell_mann_coefficients
 
@@ -88,6 +89,18 @@ class TestBasisCache:
         blas = (flat @ flat.conj().T).real
         einsum = np.einsum("nij,mji->nm", ops, ops).real
         assert np.abs(blas - einsum).max() <= 1e-15
+
+
+class TestTraceReader:
+    @pytest.mark.parametrize("d", [*range(2, 10), 16, 32])
+    def test_matches_traces_with_the_stack(self, d):
+        # a reordered basis without a matching reader fails here
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        expected = np.einsum("nij,mji->nm", x, qd.gell_mann_basis(d)).real
+        got = _gell_mann_traces(x)
+        assert got.shape == (5, d * d)
+        assert np.abs(got - expected).max() <= 1e-15 * np.abs(x).max()
 
 
 class TestExpand:

@@ -105,6 +105,18 @@ class TestCorrelationMatrix:
         assert np.abs(cm.svd_u * cm.singulars @ cm.svd_v.T - cm.r).max() <= 1e-14
         assert not hasattr(cm, "svd_w")
 
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_entry_reader_agrees_with_dense_product_at_the_crossover(self, dim_a):
+        below = qd.correlation._READ_ENTRIES_ABOVE_DIM_B
+        for dim_b in (below, below + 1):
+            rho = qd.random_density_matrix(dim_a, dim_b, 7 + dim_b)
+            cm = qd.correlation_matrix(rho)
+            dense = qd.linalg._expand(rho, qd.gell_mann_basis(dim_a), qd.gell_mann_basis(dim_b))
+            if dim_b == below:
+                assert np.array_equal(cm.r, dense)
+            else:
+                assert np.abs(cm.r - dense).max() <= 1e-15
+
     def test_singulars_match_full_svd(self):
         for seed in range(10):
             cm = qd.correlation_matrix(qd.random_density_matrix(2, 8, seed))

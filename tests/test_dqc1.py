@@ -455,6 +455,10 @@ class TestClassicality:
             cases.append((n, qd.random_unitary(2**n, seed)))
         cases.append((2, np.exp(0.3j) * _pauli_string([1, 3])))
         cases.append((1, np.exp(-1.1j) * _pauli_string([2])))
+        # d_B = 16, 32 and 64, where correlation_matrix reads r from the A-side blocks' entries
+        for n in (4, 5, 6):
+            cases.append((n, qd.random_unitary(2**n, 10 + n)))
+            cases.append((n, np.exp(0.4j * n) * _pauli_string([1 + (n + i) % 3 for i in range(n)])))
         for n, u in cases:
             inst = qd.Dqc1Instance(n=n, alpha=0.75, unitary=u)
             from_u = qd.dqc1_classicality_check(u).zero_discord

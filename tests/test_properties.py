@@ -5,6 +5,8 @@ closed-form geometric discord must not move, and a classical-quantum state
 must stay zero-discord.  D_G of a 2x2 state lies in [0, 1/2] and entropic
 discord in [0, S(A)].  The entropy scan's closed-form 3x3 spectra must give
 eigvalsh's entropies where eigenvalues vanish, repeat or nearly repeat.
+The correlation matrix's singular values follow from the A-side blocks
+alone, with no B basis.
 States are full rank, rank 1 or rank 2, built from
 drawn seeds; the profile is derandomized so tier-1 runs the same examples
 every time.  Each deviation is passed to ``target``, which steers the search
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import qdiscord as qd
 from qdiscord.entropic import conditional_entropy_scan
-from qdiscord.linalg import _entropy
+from qdiscord.linalg import _entropy, a_side_blocks
 
 TOL = 1e-12
 
@@ -109,6 +111,23 @@ def test_entropic_discord_is_at_most_entropy_of_a(rho):
     target(excess, label="D - S(A)")
     assert 0.0 <= value
     assert excess <= TOL
+
+
+@PROFILE
+@given(states([(dim_a, dim_b) for dim_a in (2, 3) for dim_b in range(2, 21)]))
+def test_singulars_need_no_b_basis(rho):
+    """r's singular values are Y = [Re X, Im X]'s, X_n = Tr_A[(A_n x 1) rho] flattened over B.
+
+    Each X_n is Hermitian and the B basis is orthonormal, so Y Y^T = r r^T.
+    """
+    x = a_side_blocks(rho, qd.gell_mann_basis(rho.dim_a)).reshape(rho.dim_a**2, -1)
+    y_singulars = np.linalg.svd(np.hstack([x.real, x.imag]), compute_uv=False)
+    singulars = qd.correlation_matrix(rho).singulars
+    k = singulars.size
+    # at 3 x 2, Y has 8 singular values and r 4; the other 4 vanish
+    gap = max(np.abs(singulars - y_singulars[:k]).max(), y_singulars[k:].max(initial=0.0))
+    target(gap)
+    assert gap <= 1e-13
 
 
 @st.composite
