@@ -47,13 +47,11 @@ from .errors import (
 from .geometric import (
     BlochTriple,
     GeometricResult,
-    ZeroDiscordPoint,
     bell_diagonal_discord,
     bloch_triple,
     geometric_discord_2q,
     geometric_discord_oracle,
     octahedron_contains,
-    random_zero_discord_state,
     state_from_bloch,
     tetrahedron_contains,
 )

@@ -35,20 +35,24 @@ class CorrelationMatrix:
 
     r = svd_u @ diag(singulars) @ svd_v.T, where svd_u is d_A² x k and svd_v
     is d_B² x k with orthonormal columns, k = min(d_A², d_B²).
-    basis_a and basis_b are the (d², d, d) Gell-Mann stacks of A and B.
+    basis_a and basis_b are the (d², d, d) Gell-Mann stacks of A and B;
+    basis_b is built on first read, and the criterion reads it only at d_B <= 8.
     rank_tolerance is the resolved singular-value cutoff used for the
     numerical rank.
     """
 
     r: np.ndarray
     basis_a: np.ndarray
-    basis_b: np.ndarray
     svd_u: np.ndarray
     svd_v: np.ndarray
     singulars: np.ndarray
     rank_tolerance: float
     dim_a: int
     dim_b: int
+
+    @property
+    def basis_b(self) -> np.ndarray:
+        return gell_mann_basis(self.dim_b)
 
 
 @dataclass(frozen=True)
@@ -84,20 +88,20 @@ def correlation_matrix(
     atol: float = RANK_ATOL,
     rtol: float = RANK_RTOL,
 ) -> CorrelationMatrix:
-    """Correlation matrix r_nm = Tr[rho (A_n x B_m)] with eager SVD."""
+    """Correlation matrix r_nm = Tr[rho (A_n x B_m)] with eager SVD; no B stack above d_B = 8."""
     _check_tolerances(atol=atol, rtol=rtol)
     if rho.dim_a < 2 or rho.dim_b < 2:
         raise DimensionError(
             f"the criterion needs subsystem dimensions >= 2, got state dims ({rho.dim_a}, {rho.dim_b})"
         )
-    basis_a, basis_b = gell_mann_basis(rho.dim_a), gell_mann_basis(rho.dim_b)
+    basis_a = gell_mann_basis(rho.dim_a)
     if rho.dim_b > _READ_ENTRIES_ABOVE_DIM_B:
         r = _gell_mann_traces(a_side_blocks(rho, basis_a))
     else:
-        r = _expand(rho, basis_a, basis_b)
+        r = _expand(rho, basis_a, gell_mann_basis(rho.dim_b))
     u, c, vh = np.linalg.svd(r, full_matrices=False)
     return CorrelationMatrix(
-        r, basis_a, basis_b, u, vh.T, c, _rank_cutoff(c, atol, rtol), rho.dim_a, rho.dim_b
+        r, basis_a, u, vh.T, c, _rank_cutoff(c, atol, rtol), rho.dim_a, rho.dim_b
     )
 
 
@@ -107,7 +111,8 @@ def numerical_rank(cm: CorrelationMatrix) -> int:
 
 
 def local_operators(cm: CorrelationMatrix) -> list[LocalOperatorPair]:
-    """Retained terms (c_n, S_n, F_n); S_n mixes basis A with column n of U."""
+    """Retained terms (c_n, S_n, F_n); S_n mixes basis A with column n of U and
+    F_n the B stack, which this builds at any d_B through ``cm.basis_b``."""
     rank = numerical_rank(cm)
     ops_a = _rotated_operators(cm.svd_u[:, :rank], cm.basis_a)
     ops_b = _rotated_operators(cm.svd_v[:, :rank], cm.basis_b)

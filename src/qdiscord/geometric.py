@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OutsidePhysicalError, ValidationError
-from .linalg import _PAULI_STACK, PSD_ATOL, DensityMatrix, _check_tolerances
+from .linalg import _PAULI_STACK, DensityMatrix, _check_tolerances
 from .linalg import _count_arg, _expand, _rebuild, a_side_blocks
 
 # Bell-diagonal tetrahedron vertices; 1 + t.v >= 0 for each vertex v is
@@ -75,70 +75,6 @@ def state_from_bloch(x, y, corr) -> np.ndarray:
     coeffs[0, 1:] = y
     coeffs[1:, 1:] = corr
     return _rebuild(coeffs, _PAULI_STACK, _PAULI_STACK) / 4.0
-
-
-@dataclass(frozen=True)
-class ZeroDiscordPoint:
-    """Parameters (e, t, s+, s-) of a two-qubit zero-discord state.
-
-    The state mixes the projectors along +-e with weights (1 +- t)/2 and
-    carries conditional B states whose Bloch vectors combine to s+ and s-.
-    e, s+ and s- must be 3-vectors and t a real scalar (DimensionError).
-    Construction checks the state's exact minimum eigenvalue,
-    min((1 + t) - |s+ + s-|, (1 - t) - |s+ - s-|)/4 at |e| = 1, against
-    -PSD_ATOL (NaN fails), so ``to_state`` neither clips nor renormalizes.
-    """
-
-    e: np.ndarray
-    t: float
-    s_plus: np.ndarray
-    s_minus: np.ndarray
-
-    def __post_init__(self):
-        for name in ("e", "s_plus", "s_minus"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise DimensionError(f"{name} must be a 3-vector, got shape {v.shape}")
-            object.__setattr__(self, name, v)
-        t = np.asarray(self.t)
-        if t.shape != () or t.dtype.kind not in "biuf":
-            raise DimensionError(f"t must be a real scalar, got {self.t!r}")
-        object.__setattr__(self, "t", float(t))
-        norm_e = float(np.linalg.norm(self.e))
-        if not abs(norm_e - 1.0) <= 1e-9:
-            raise OutsidePhysicalError(f"e must be a unit vector, got |e| = {norm_e}")
-        lam_min = self._min_eigenvalue()
-        if not lam_min >= -PSD_ATOL:  # written so that NaN fails
-            raise OutsidePhysicalError(f"not a state: min eigenvalue {lam_min:.3e}")
-
-    def _min_eigenvalue(self) -> float:
-        """Minimum eigenvalue of ``to_state``: on the +-|e| eigenspaces of
-        e.sigma the state is ((1 +- t|e|) 1 + (s+ +- |e| s-).sigma)/4."""
-        n = np.linalg.norm(self.e)
-        lam = [
-            (1.0 + k * self.t * n) - np.linalg.norm(self.s_plus + k * n * self.s_minus)
-            for k in (1, -1)
-        ]
-        return float(np.min(lam)) / 4.0
-
-    @classmethod
-    def from_mixture(cls, e, p1: float, b1, b2) -> "ZeroDiscordPoint":
-        """Build from outcome weight p1 and conditional Bloch vectors b1, b2."""
-        p1 = float(p1)
-        b1 = np.asarray(b1, dtype=float)
-        b2 = np.asarray(b2, dtype=float)
-        return cls(
-            e=np.asarray(e, dtype=float),
-            t=2.0 * p1 - 1.0,
-            s_plus=p1 * b1 + (1.0 - p1) * b2,
-            s_minus=p1 * b1 - (1.0 - p1) * b2,
-        )
-
-    def to_state(self) -> DensityMatrix:
-        """The state (1x1 + t e.sigma x 1 + 1 x s+.sigma + e.sigma x s-.sigma)/4."""
-        return DensityMatrix(
-            state_from_bloch(self.t * self.e, self.s_plus, np.outer(self.e, self.s_minus)), 2, 2
-        )
 
 
 @dataclass(frozen=True)
@@ -343,16 +279,3 @@ def geometric_discord_oracle(
         lambda z: chi_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8, settle=2
     )
     return float(best.min())
-
-
-def random_zero_discord_state(seed: int) -> DensityMatrix:
-    """Seeded random sample from the two-qubit zero-discord family."""
-    rng = np.random.default_rng(_count_arg("seed", seed, 0))
-    e = rng.standard_normal(3)
-    e /= np.linalg.norm(e)
-    p1 = rng.uniform(0.0, 1.0)
-    balls = rng.standard_normal((2, 3))
-    balls /= np.linalg.norm(balls, axis=1, keepdims=True)
-    radii = rng.uniform(0.0, 1.0, 2) ** (1.0 / 3.0)
-    b1, b2 = balls * radii[:, None]
-    return ZeroDiscordPoint.from_mixture(e, p1, b1, b2).to_state()

@@ -8,10 +8,38 @@ import numpy as np
 from qdiscord.linalg import ID2, PAULIS, DensityMatrix
 
 
+def qubit_state(b):
+    """The qubit state (1 + b.sigma)/2 with Bloch vector b."""
+    return (ID2 + np.tensordot(np.asarray(b, dtype=float), np.stack(PAULIS), 1)) / 2.0
+
+
 def direction_projectors(e):
     """The qubit projectors (1 +- e.sigma)/2 along the direction of a 3-vector e."""
-    e_sigma = np.tensordot(np.asarray(e, dtype=float) / np.linalg.norm(e), np.stack(PAULIS), 1)
-    return np.stack([(ID2 + e_sigma) / 2.0, (ID2 - e_sigma) / 2.0])
+    n = np.asarray(e, dtype=float) / np.linalg.norm(e)
+    return np.stack([qubit_state(n), qubit_state(-n)])
+
+
+def zero_discord_mixture(e, p1, b1, b2):
+    """p1 P+(e) x (1 + b1.sigma)/2 + (1 - p1) P-(e) x (1 + b2.sigma)/2, the two-qubit
+    zero-discord state that measures A along e with outcome weight p1 and leaves B
+    with Bloch vector b1 or b2."""
+    plus, minus = direction_projectors(e)
+    mat = p1 * np.kron(plus, qubit_state(b1)) + (1.0 - p1) * np.kron(minus, qubit_state(b2))
+    return DensityMatrix(mat, 2, 2)
+
+
+def sample_zero_discord_state(seed):
+    """zero_discord_mixture at a seeded draw: e uniform on the sphere, p1 uniform on
+    [0, 1], and b1, b2 uniform in the unit ball, drawn in that order."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(3)
+    e /= np.linalg.norm(e)
+    p1 = rng.uniform(0.0, 1.0)
+    balls = rng.standard_normal((2, 3))
+    balls /= np.linalg.norm(balls, axis=1, keepdims=True)
+    radii = rng.uniform(0.0, 1.0, 2) ** (1.0 / 3.0)
+    b1, b2 = balls * radii[:, None]
+    return zero_discord_mixture(e, p1, b1, b2)
 
 
 def conditional_ensemble(rho, projectors):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord.linalg import ID2
-from references import commutator_norm, zero_discord_verdict
+from references import commutator_norm, sample_zero_discord_state, zero_discord_verdict
 
 BAD_TOLERANCES = [float("nan"), -1.0, float("inf")]
 
@@ -222,6 +222,10 @@ class TestZeroDiscordTest:
             assert verdict.is_zero_discord
             assert verdict.rank_l <= 2
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_two_qubit_zero_discord_mixtures_pass(self, seed):
+        assert qd.zero_discord_test(sample_zero_discord_state(seed)).is_zero_discord
+
     def test_eq4_state_fails(self, eq4_state):
         verdict = qd.zero_discord_test(eq4_state)
         assert not verdict.is_zero_discord
@@ -336,6 +340,14 @@ class TestZeroDiscordTest:
             tracemalloc.stop()
         assert verdict.witness_triggered
         assert peak < 64 * 2**20
+
+    def test_large_b_side_leaves_no_b_stack_in_the_cache(self):
+        # above d_B = 8, r is read from the A-side blocks' entries, so d_A = 2's stack is the
+        # only one built; a d_B = 64 stack alone is 268 MB
+        qd.gell_mann_basis.cache_clear()
+        for dim_b in (16, 64):
+            assert qd.zero_discord_test(qd.random_density_matrix(2, dim_b, 0)).witness_triggered
+        assert qd.gell_mann_basis.cache_info().currsize == 1
 
     # 1 takes one row per product; 128 splits the 3 rows of a rank-4 4x2 state 2 + 1, 405 the
     # 8 rows of a rank-9 3x3 state 5 + 3, and 1536 the 15 rows of a rank-16 4x4 state 6 + 6 + 3

@@ -455,8 +455,9 @@ class TestClassicality:
             cases.append((n, qd.random_unitary(2**n, seed)))
         cases.append((2, np.exp(0.3j) * _pauli_string([1, 3])))
         cases.append((1, np.exp(-1.1j) * _pauli_string([2])))
-        # d_B = 16, 32 and 64, where correlation_matrix reads r from the A-side blocks' entries
-        for n in (4, 5, 6):
+        # d_B = 16 to 256, where correlation_matrix reads r from the A-side blocks' entries
+        # and builds no B stack (at n = 8 that stack would take 64 GiB)
+        for n in (4, 5, 6, 7, 8):
             cases.append((n, qd.random_unitary(2**n, 10 + n)))
             cases.append((n, np.exp(0.4j * n) * _pauli_string([1 + (n + i) % 3 for i in range(n)])))
         for n, u in cases:

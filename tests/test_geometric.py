@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord.geometric import chi_distance_sq, nelder_mead
-from references import hs_distance_sq
+from references import hs_distance_sq, sample_zero_discord_state, zero_discord_mixture
 from sphere_simplex import _angles_to_dir, _initial_simplices
 
 
@@ -111,8 +111,14 @@ class TestBlochTriple:
             (np.zeros(3), np.zeros(2), np.zeros((3, 3)), r"^y must have shape \(3,\), got \(2,\)"),
             (np.zeros(3), np.zeros(3), 0.1, r"^corr must have shape \(3, 3\), got \(\)"),
             (np.zeros(3), np.zeros(3), np.zeros(9), r"^corr must have shape \(3, 3\), got \(9,\)"),
+            (np.zeros(4), np.zeros(3), np.zeros((3, 3)), r"^x must have shape \(3,\), got \(4,\)"),
+            ([[0.1, 0, 0]], np.zeros(3), np.zeros((3, 3)), r"^x must have shape \(3,\), got \(1, 3\)"),
+            (np.zeros(3), 0.0, np.zeros((3, 3)), r"^y must have shape \(3,\), got \(\)"),
+            (np.zeros(3), np.zeros(3), np.zeros((3, 4)), r"^corr must have shape \(3, 3\), got \(3, 4\)"),
+            (np.zeros(3), np.zeros(3), np.zeros((1, 3, 3)), r"^corr must have shape \(3, 3\), got \(1, 3, 3\)"),
         ],
-        ids=["scalar-x", "short-y", "scalar-corr", "flat-corr"],
+        ids=["scalar-x", "short-y", "scalar-corr", "flat-corr", "long-x", "row-x", "scalar-y",
+             "wide-corr", "stacked-corr"],
     )
     def test_state_from_bloch_rejects_bad_shapes(self, x, y, corr, match):
         # numpy would broadcast a scalar into every entry, and a 9-vector T raised its own error
@@ -298,104 +304,6 @@ class TestBellDiagonalFormula:
             qd.bell_diagonal_discord([1.0, 1.0, 1.0])
 
 
-class TestZeroDiscordPoint:
-    def test_to_state_is_zero_discord(self):
-        for seed in range(10):
-            chi = qd.random_zero_discord_state(seed)
-            assert qd.zero_discord_test(chi).is_zero_discord
-
-    def test_rejects_non_unit_direction(self):
-        with pytest.raises(qd.OutsidePhysicalError):
-            qd.ZeroDiscordPoint(e=[1.0, 1.0, 0.0], t=0.0, s_plus=[0, 0, 0], s_minus=[0, 0, 0])
-
-    def test_rejects_large_bias(self):
-        with pytest.raises(qd.OutsidePhysicalError):
-            qd.ZeroDiscordPoint(e=[0, 0, 1.0], t=1.5, s_plus=[0, 0, 0], s_minus=[0, 0, 0])
-
-    def test_min_eigenvalue_matches_eigvalsh(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            e = rng.standard_normal(3)
-            b1, b2 = rng.standard_normal((2, 3))
-            # conditional Bloch vectors inside the ball, on its surface, or at its centre
-            b1 *= rng.choice([rng.uniform(0, 1), 1.0, 0.0]) / np.linalg.norm(b1)
-            b2 *= rng.choice([rng.uniform(0, 1), 1.0, 0.0]) / np.linalg.norm(b2)
-            p1 = rng.choice([rng.uniform(0, 1), 0.0, 1.0])
-            point = qd.ZeroDiscordPoint.from_mixture(e / np.linalg.norm(e), p1, b1, b2)
-            wmin = np.linalg.eigvalsh(point.to_state().mat)[0]
-            assert abs(point._min_eigenvalue() - wmin) <= 1e-15
-
-    def test_min_eigenvalue_keeps_the_norm_of_e(self):
-        # |e| = 1 + 9e-10 passes the unit check, and with t = 1 the state's
-        # minimum eigenvalue is -|e|/4 + 1/4 = -2.25e-10, below -PSD_ATOL
-        e = np.array([0.0, 0.0, 1.0 + 9e-10])
-        mat = qd.state_from_bloch(e, np.zeros(3), np.zeros((3, 3)))
-        assert np.linalg.eigvalsh(mat)[0] == pytest.approx(-2.25e-10, rel=1e-6)
-        with pytest.raises(qd.OutsidePhysicalError, match=r"min eigenvalue -2\.25\de-10"):
-            qd.ZeroDiscordPoint(e=e, t=1.0, s_plus=np.zeros(3), s_minus=np.zeros(3))
-
-    def test_rejects_slightly_outside_ball(self):
-        # lambda_min = (1 - (1 + 5e-10))/4 = -1.25e-10; before, the state was clipped silently
-        with pytest.raises(qd.OutsidePhysicalError, match=r"min eigenvalue -1\.25\de-10"):
-            qd.ZeroDiscordPoint(e=[0, 0, 1.0], t=0.0, s_plus=[1 + 5e-10, 0, 0], s_minus=[0, 0, 0])
-
-    def test_rejects_non_state_at_construction(self):
-        # each s vector lies in the unit ball, but |s+ +- s-| = 1.13 > 1 - |t|
-        with pytest.raises(qd.OutsidePhysicalError, match="min eigenvalue"):
-            qd.ZeroDiscordPoint(e=[0, 0, 1.0], t=0.0, s_plus=[0.8, 0, 0], s_minus=[0, 0.8, 0])
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"e": [float("nan"), 0, 1.0], "t": 0.0},
-            {"e": [0, 0, 1.0], "t": float("nan")},
-            {"e": [0, 0, 1.0], "t": 0.0, "s_plus": [float("nan"), 0, 0]},
-            {"e": [0, 0, 1.0], "t": 0.0, "s_minus": [0, float("nan"), 0]},
-        ],
-    )
-    def test_rejects_nan(self, kwargs):
-        kwargs = {"s_plus": [0, 0, 0], "s_minus": [0, 0, 0], **kwargs}
-        with pytest.raises(qd.OutsidePhysicalError):
-            qd.ZeroDiscordPoint(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"s_plus": 0.9},  # a scalar would broadcast into all three Bloch components
-            {"s_minus": 0.0},
-            {"s_plus": [0.1, 0, 0, 0]},
-            {"s_minus": [0, 0]},
-            {"s_plus": [[0.1, 0, 0]]},
-            {"e": [0, 0, 1.0, 0]},
-            {"e": [1.0, 0]},
-            {"e": 1.0},
-            {"t": [0.5]},
-            {"t": [0.1, 0.2]},
-            {"t": 0.5j},
-        ],
-    )
-    def test_rejects_bad_shapes(self, kwargs):
-        kwargs = {"e": [0, 0, 1.0], "t": 0.0, "s_plus": [0, 0, 0], "s_minus": [0, 0, 0], **kwargs}
-        with pytest.raises(qd.DimensionError, match="must be a 3-vector|must be a real scalar"):
-            qd.ZeroDiscordPoint(**kwargs)
-
-    def test_t_is_stored_as_float(self):
-        zeros = [0, 0, 0]
-        point = qd.ZeroDiscordPoint(e=[0, 0, 1], t=np.float64(0.25), s_plus=zeros, s_minus=zeros)
-        assert type(point.t) is float and point.t == 0.25
-
-    def test_mixture_construction_matches_direct(self):
-        point = qd.ZeroDiscordPoint.from_mixture([0, 0, 1.0], 0.7, [0.1, 0, 0.2], [0, 0.3, 0])
-        assert point.t == pytest.approx(0.4)
-        chi = point.to_state()
-        proj0 = np.diag([1.0, 0.0]).astype(complex)
-        proj1 = np.diag([0.0, 1.0]).astype(complex)
-        b1 = 0.5 * (np.eye(2, dtype=complex) + 0.1 * qd.linalg.SIGMA_X + 0.2 * qd.linalg.SIGMA_Z)
-        b2 = 0.5 * (np.eye(2, dtype=complex) + 0.3 * qd.linalg.SIGMA_Y)
-        direct = 0.7 * np.kron(proj0, b1) + 0.3 * np.kron(proj1, b2)
-        assert_allclose(chi.mat, direct, atol=1e-12)
-
-
 class TestOracle:
     def test_product_state(self, product_mixed):
         assert qd.geometric_discord_oracle(product_mixed, restarts=16) <= 1e-8
@@ -420,7 +328,7 @@ class TestOracle:
         rho = qd.random_density_matrix(2, 2, 77)
         value = qd.geometric_discord_2q(rho).value
         for seed in range(1000):
-            chi = qd.random_zero_discord_state(seed)
+            chi = sample_zero_discord_state(seed)
             assert hs_distance_sq(rho.mat, chi.mat) >= value - 1e-10
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"maxiter": 0}, {"maxiter": -5}])
@@ -456,7 +364,7 @@ def test_chi_distance_matches_state_distance():
             [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
         )
         p1 = 0.5 * (1.0 + np.tanh(zi[2]))
-        chi = qd.ZeroDiscordPoint.from_mixture(e, p1, ball(zi[3:6]), ball(zi[6:9])).to_state()
+        chi = zero_discord_mixture(e, p1, ball(zi[3:6]), ball(zi[6:9]))
         assert val == pytest.approx(hs_distance_sq(rho.mat, chi.mat), abs=1e-12)
 
 

@@ -233,7 +233,6 @@ _U4 = qd.random_unitary(4, 0)
         (lambda: qd.fibonacci_sphere(True), "n must be an"),
         (lambda: qd.fibonacci_sphere(-1), "need n >= 1"),
         (lambda: qd.fibonacci_sphere(0), "need n >= 1"),
-        (lambda: qd.random_zero_discord_state(-1), "need seed >= 0"),
         # a boolean once passed as 1: bell_state(True) gave Phi-
         (lambda: qd.bell_state(True), "index must be an"),
         (lambda: qd.bell_state(np.True_), "index must be an"),
@@ -251,7 +250,7 @@ _U4 = qd.random_unitary(4, 0)
         "samples", "sample-seed", "n-bool", "n-fraction", "dim_a", "dim_b-str",
         "random-state-dim", "random-state-seed", "unitary-dim", "unitary-seed", "gell-mann-d",
         "sphere-fraction", "sphere-bool", "sphere-negative", "sphere-zero",
-        "zero-discord-seed", "bell-bool", "bell-numpy-bool", "bell-fraction", "facet-bool-s1",
+        "bell-bool", "bell-numpy-bool", "bell-fraction", "facet-bool-s1",
         "facet-numpy-bool-s2", "facet-bool",
         "facet-numpy-bool", "facet-fraction", "n-integral-float", "dims-integral-float",
     ],

@@ -6,7 +6,8 @@ must stay zero-discord.  D_G of a 2x2 state lies in [0, 1/2] and entropic
 discord in [0, S(A)].  The entropy scan's closed-form 3x3 spectra must give
 eigvalsh's entropies where eigenvalues vanish, repeat or nearly repeat.
 The correlation matrix's singular values follow from the A-side blocks
-alone, with no B basis.
+alone, with no B basis.  The 2x2 oracle lies at or above the closed form and
+does not move under local unitaries either.
 States are full rank, rank 1 or rank 2, built from
 drawn seeds; the profile is derandomized so tier-1 runs the same examples
 every time.  Each deviation is passed to ``target``, which steers the search
@@ -93,6 +94,20 @@ def test_cq_zero_verdict_survives_local_unitaries(dims, data):
     moved = qd.DensityMatrix(u @ rho.mat @ u.conj().T, dim_a, dim_b)
     assert qd.zero_discord_test(rho).is_zero_discord
     assert qd.zero_discord_test(moved).is_zero_discord
+
+
+@settings(PROFILE, max_examples=20)
+@given(rotated([(2, 2)]))
+def test_oracle_is_locally_invariant_and_bounds_closed_form(pair):
+    """The oracle minimizes over the zero-discord family, so it cannot go below the closed
+    form's exact minimum, and a local unitary maps that family onto itself."""
+    oracle = [qd.geometric_discord_oracle(r) for r in pair]
+    excess = max(qd.geometric_discord_2q(r).value - v for r, v in zip(pair, oracle))
+    deviation = abs(oracle[0] - oracle[1])
+    target(excess, label="closed form - oracle")
+    target(deviation, label="oracle invariance deviation")
+    assert excess <= 1e-9
+    assert deviation <= 1e-9
 
 
 @PROFILE

@@ -10,7 +10,14 @@ from numpy.testing import assert_allclose
 
 import qdiscord as qd
 from qdiscord.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from references import commutator_norm, direction_projectors, hs_distance_sq, swap_subsystems
+from references import (
+    commutator_norm,
+    direction_projectors,
+    hs_distance_sq,
+    qubit_state,
+    swap_subsystems,
+    zero_discord_mixture,
+)
 
 
 class TestDirectionProjectors:
@@ -36,6 +43,63 @@ class TestDirectionProjectors:
     def test_opposite_direction_swaps_outcomes(self):
         e = np.array([0.6, 0.0, -0.8])
         assert_allclose(direction_projectors(-e), direction_projectors(e)[::-1], atol=1e-15)
+
+
+class TestQubitState:
+    def test_z_axis(self):
+        assert_allclose(qubit_state([0.0, 0.0, 1.0]), np.diag([1.0, 0.0]), atol=0)
+        assert_allclose(qubit_state([0.0, 0.0, 0.0]), ID2 / 2, atol=0)
+
+    def test_bloch_vector_is_read_back(self):
+        b = np.array([0.3, -0.5, 0.1])
+        rho = qubit_state(b)
+        assert np.trace(rho) == pytest.approx(1.0)
+        assert_allclose([np.trace(rho @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)], b, atol=1e-15)
+
+
+class TestZeroDiscordMixture:
+    def test_mixture_construction_matches_direct(self):
+        chi = zero_discord_mixture([0, 0, 1.0], 0.7, [0.1, 0, 0.2], [0, 0.3, 0])
+        proj0 = np.diag([1.0, 0.0]).astype(complex)
+        proj1 = np.diag([0.0, 1.0]).astype(complex)
+        b1 = 0.5 * (np.eye(2, dtype=complex) + 0.1 * SIGMA_X + 0.2 * SIGMA_Z)
+        b2 = 0.5 * (np.eye(2, dtype=complex) + 0.3 * SIGMA_Y)
+        direct = 0.7 * np.kron(proj0, b1) + 0.3 * np.kron(proj1, b2)
+        assert (chi.dim_a, chi.dim_b) == (2, 2)
+        assert_allclose(chi.mat, direct, atol=1e-12)
+
+    # conditional Bloch vectors inside the ball, on its surface and at its centre, with
+    # outcome weights inside [0, 1] and at its ends
+    @pytest.mark.parametrize(
+        "p1, r1, r2",
+        [(0.7, 0.4, 0.9), (0.3, 1.0, 0.0), (0.0, 0.5, 1.0), (1.0, 1.0, 0.2)],
+        ids=["inside", "surface-centre", "p1-zero", "p1-one"],
+    )
+    def test_spectrum_is_the_branch_weights(self, p1, r1, r2):
+        # P+(e) x beta1 and P-(e) x beta2 have orthogonal supports, so the eigenvalues are
+        # p1 (1 +- |b1|)/2 and (1 - p1)(1 +- |b2|)/2
+        rng = np.random.default_rng(4)
+        e, b1, b2 = rng.standard_normal((3, 3))
+        b1 *= r1 / np.linalg.norm(b1)
+        b2 *= r2 / np.linalg.norm(b2)
+        chi = zero_discord_mixture(e, p1, b1, b2)
+        expected = [p1 * (1 - r1) / 2, p1 * (1 + r1) / 2]
+        expected += [(1 - p1) * (1 - r2) / 2, (1 - p1) * (1 + r2) / 2]
+        assert_allclose(chi.mat, chi.mat.conj().T, atol=0)
+        assert_allclose(np.linalg.eigvalsh(chi.mat), np.sort(expected), atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_classical_quantum_state_on_eigenkets(self, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal(3)
+        p1 = rng.uniform()
+        b1, b2 = rng.uniform(-0.5, 0.5, (2, 3))
+        # e.sigma's eigenkets for +|e| and -|e|; eigh sorts the eigenvalues ascending
+        _, kets = np.linalg.eigh(e[0] * SIGMA_X + e[1] * SIGMA_Y + e[2] * SIGMA_Z)
+        cq = qd.classical_quantum_state(
+            [p1, 1.0 - p1], [kets[:, 1], kets[:, 0]], [qubit_state(b1), qubit_state(b2)]
+        )
+        assert_allclose(zero_discord_mixture(e, p1, b1, b2).mat, cq.mat, atol=1e-15)
 
 
 class TestHsDistanceSq:
