@@ -3,9 +3,9 @@
 The generalized Gell-Mann family, rescaled so that Tr(A_i A_j) = delta_ij,
 with the normalized identity in slot 0.  Ordering is deterministic: identity,
 then symmetric pair operators, antisymmetric pair operators, and diagonal
-operators, each group in lexicographic index order.  ``_gell_mann_traces``
-reads traces against the basis from matrix entries, so the layout is known
-here alone.
+operators, each group in lexicographic index order.  ``_gell_mann_traces`` and
+its adjoint ``_gell_mann_combinations`` read and write the basis as matrix
+entries, so the layout is known here alone.
 """
 
 from __future__ import annotations
@@ -85,3 +85,16 @@ def _gell_mann_traces(x: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [diag[:, :1], pairs.real * _INV_SQRT2, pairs.imag * -_INV_SQRT2, diag[:, 1:]], axis=1
     )
+
+
+def _gell_mann_combinations(v: np.ndarray, d: int) -> np.ndarray:
+    """sum_m v[n, m] G_m for real rows v[n] of length d², as (n, d, d): the adjoint of
+    ``_gell_mann_traces``, O(n d²) where a product with the stack takes O(n d⁴) and d⁴ memory."""
+    j, k, diagonals = _layout(d)
+    sym, asym = np.split(v[:, 1 : 1 + 2 * j.size] * _INV_SQRT2, 2, axis=1)
+    out = np.zeros((v.shape[0], d, d), dtype=complex)
+    out[:, j, k] = sym - 1j * asym
+    out[:, k, j] = sym + 1j * asym
+    diag = np.concatenate([v[:, :1], v[:, 1 + 2 * j.size :]], axis=1) @ diagonals
+    out[:, np.arange(d), np.arange(d)] = diag
+    return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _gell_mann_traces, gell_mann_basis
+from .basis import _gell_mann_combinations, _gell_mann_traces, gell_mann_basis
 from .errors import DimensionError, ValidationError
 from .linalg import DensityMatrix, _check_tolerances, _expand, _is_integer, a_side_blocks
 
@@ -35,8 +35,7 @@ class CorrelationMatrix:
 
     r = svd_u @ diag(singulars) @ svd_v.T, where svd_u is d_A² x k and svd_v
     is d_B² x k with orthonormal columns, k = min(d_A², d_B²).
-    basis_a and basis_b are the (d², d, d) Gell-Mann stacks of A and B;
-    basis_b is built on first read, and the criterion reads it only at d_B <= 8.
+    basis_a is A's (d², d, d) Gell-Mann stack; no B stack is kept.
     rank_tolerance is the resolved singular-value cutoff used for the
     numerical rank.
     """
@@ -49,10 +48,6 @@ class CorrelationMatrix:
     rank_tolerance: float
     dim_a: int
     dim_b: int
-
-    @property
-    def basis_b(self) -> np.ndarray:
-        return gell_mann_basis(self.dim_b)
 
 
 @dataclass(frozen=True)
@@ -111,21 +106,15 @@ def numerical_rank(cm: CorrelationMatrix) -> int:
 
 
 def local_operators(cm: CorrelationMatrix) -> list[LocalOperatorPair]:
-    """Retained terms (c_n, S_n, F_n); S_n mixes basis A with column n of U and
-    F_n the B stack, which this builds at any d_B through ``cm.basis_b``."""
+    """Retained terms (c_n, S_n, F_n), with S_n and F_n written entry by entry from
+    columns n of U and V; no Gell-Mann stack is built for either side."""
     rank = numerical_rank(cm)
-    ops_a = _rotated_operators(cm.svd_u[:, :rank], cm.basis_a)
-    ops_b = _rotated_operators(cm.svd_v[:, :rank], cm.basis_b)
+    ops_a = _gell_mann_combinations(cm.svd_u[:, :rank].T, cm.dim_a)
+    ops_b = _gell_mann_combinations(cm.svd_v[:, :rank].T, cm.dim_b)
     return [
         LocalOperatorPair(weight=float(cm.singulars[n]), op_a=ops_a[n], op_b=ops_b[n])
         for n in range(rank)
     ]
-
-
-def _rotated_operators(columns: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """sum_k columns[k, n] basis[k] for every column n, as one BLAS product."""
-    d = basis.shape[1]
-    return (columns.T @ basis.reshape(-1, d * d)).reshape(-1, d, d)
 
 
 def zero_discord_test(
@@ -147,7 +136,8 @@ def zero_discord_test(
     rank = numerical_rank(cm)
     witness = rank > rho.dim_a
 
-    ops = _rotated_operators(cm.svd_u[:, :rank], cm.basis_a)
+    d_a = rho.dim_a  # S_n = sum_k U_kn A_k as one BLAS product
+    ops = (cm.svd_u[:, :rank].T @ cm.basis_a.reshape(-1, d_a * d_a)).reshape(-1, d_a, d_a)
     max_comm = 0.0
     # [S_i, S_j] for a block of rows i against every j > i0, one batched product per block
     # of at most _COMM_BLOCK entries.  The pairs with j <= i add only [S_i, S_i] = 0 and

@@ -5,6 +5,12 @@ zero-discord state.  Its closed form, (Tr K - k_max)/4 with K_ij = 2 Tr(X_i X_j)
 over the A-side blocks X_i = Tr_A[(sigma_i x 1) rho], holds for every 2 x d_B
 state; at 2x2, :func:`geometric_discord_oracle` cross-checks it by direct
 minimization over the zero-discord family in its Bloch parametrization.
+
+A zero-discord state measured along e with bias t = p1 - p2 has the Bloch triple
+(t e, u + w, e (u - w)^T), u = p1 b1 and w = p2 b2, at squared distance (|x - t e|^2 +
+|T|^2 - |T^T e|^2 + 2|u - a|^2 + 2|w - b|^2)/4 for a, b = (y +- T^T e)/2.  So the oracle
+searches (e, t) and projects a, b onto the balls of radius p1, p2: exact algebra on its
+own objective, without Luo and Fu's dephasing lemma, on which the closed form rests.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, OutsidePhysicalError, ValidationError
+from .errors import DimensionError, OutsidePhysicalError
 from .linalg import _PAULI_STACK, DensityMatrix, _check_tolerances
 from .linalg import _count_arg, _expand, _rebuild, a_side_blocks
 
@@ -22,6 +28,7 @@ from .linalg import _count_arg, _expand, _rebuild, a_side_blocks
 _TETRA_VERTICES = np.array(
     [[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float
 )
+_HALF_SIGNS = np.array([[0.5], [-0.5]])  # a, b = y/2 +- T^T e/2 and p1, p2 = 1/2 +- t/2
 
 
 def _correlation_vector(t) -> np.ndarray:
@@ -119,46 +126,37 @@ def bell_diagonal_discord(t) -> float:
 
 
 def oracle_starts(restarts: int, seed: int) -> np.ndarray:
-    """Deterministic multi-start points for the oracle's 9-parameter search."""
+    """Deterministic multi-start points (theta, phi, tau) for the oracle's search."""
     rng = np.random.default_rng(seed)
-    starts = np.empty((restarts, 9))
-    starts[:, 0] = np.arccos(rng.uniform(-1.0, 1.0, restarts))
-    starts[:, 1] = rng.uniform(0.0, 2.0 * np.pi, restarts)
-    starts[:, 2] = rng.standard_normal(restarts)
-    starts[:, 3:9] = rng.standard_normal((restarts, 6))
-    return starts
+    theta = np.arccos(rng.uniform(-1.0, 1.0, restarts))  # theta, phi, tau: the draw order
+    phi = rng.uniform(0.0, 2.0 * np.pi, restarts)
+    return np.column_stack([theta, phi, rng.standard_normal(restarts)])
 
 
-def chi_distance_sq(z, xv, yv, tmat):
-    """Squared Hilbert-Schmidt distance from the target Bloch triple
-    (xv, yv, tmat) to the zero-discord states encoded by the rows of z.
-
-    z has shape (N, 9) and the result shape (N,).  z[:, 0:2] are sphere
-    angles of the measured direction e, tanh(z[:, 2]) is the outcome bias
-    p1 - p2, and z[:, 3:6], z[:, 6:9] map into the unit ball as the Bloch
-    vectors of the two conditional states, so every z is physical.
+def _projected_distance_sq(z, xv, yv, tmat):
+    """Squared Hilbert-Schmidt distance from the Bloch triple (xv, yv, tmat) to the nearest
+    zero-discord state along e with bias t, for each row (theta, phi, tau) of z: e's sphere
+    angles and t = tanh(tau).  It sums squared residuals at the projected u, w, so it is >= 0.
     """
     zt = np.ascontiguousarray(z.T)
     m = zt.shape[1]
     sin = np.sin(zt[:2])
     cos = np.cos(zt[:2])
     t = np.tanh(zt[2])
-    sq = zt[3:9] ** 2
-    radius = np.maximum(np.sqrt(sq[::3] + sq[1::3] + sq[2::3]), 1e-12)
-    weight = np.tanh(radius) / radius  # exactly 1 at the clamp
-    weight[0] *= 0.5 + 0.5 * t
-    weight[1] *= 0.5 - 0.5 * t
-    b1, b2 = zt[3:9].reshape(2, 3, m) * weight[:, None]  # p1 b1 and p2 b2
-
-    # model rows: t e, s+ = p1 b1 + p2 b2, then e_i s- for s- = p1 b1 - p2 b2
+    # model rows: t e, u + w, then e_i (u - w)
     model = np.empty((15, m))
     e = model[:3]
     np.multiply(sin[0], cos[1], out=e[0])
     np.multiply(sin[0], sin[1], out=e[1])
     e[2] = cos[0]
-    np.multiply(e[:, None], b1 - b2, out=model[6:].reshape(3, 3, m))
+    ab = _HALF_SIGNS[:, :, None] * (tmat.T @ e) + 0.5 * yv[:, None]  # a and b
+    norm = np.sqrt((ab * ab).sum(axis=1))
+    radius = 0.5 + _HALF_SIGNS * t  # p1 and p2
+    ab *= np.minimum(1.0, radius / np.maximum(norm, 1e-300))[:, None]  # floor: no 0/0 at a = 0
+    u, w = ab
+    np.multiply(e[:, None], u - w, out=model[6:].reshape(3, 3, m))
     e *= t
-    np.add(b1, b2, out=model[3:6])
+    np.add(u, w, out=model[3:6])
     model -= np.concatenate([xv, yv, np.ravel(tmat)])[:, None]
     model *= model
     return 0.25 * model.sum(axis=0)
@@ -261,21 +259,17 @@ def geometric_discord_oracle(
 ) -> float:
     """Geometric discord by direct minimization over zero-discord states.
 
-    Multi-start Nelder-Mead over the physical parametrization (measurement
-    direction, outcome bias, two conditional Bloch vectors); independent of
-    the closed form and used to validate it.  The restarts run as one batch,
-    which stops once two of them converge to the same minimum and none is
-    lower, or after ``maxiter`` steps.
+    Multi-start Nelder-Mead over the measurement direction and outcome bias, with
+    the conditional Bloch vectors set exactly at each point (module docstring): each
+    value is attained by an explicit zero-discord state, and none uses Luo and Fu's
+    lemma or K.  The restarts run as one batch, which stops once two of them converge
+    to the same minimum and none is lower, or after ``maxiter`` steps.
     """
-    restarts, maxiter = _count_arg("restarts", restarts), _count_arg("maxiter", maxiter)
-    if restarts < 1:
-        raise ValidationError(f"the oracle needs at least one restart, got {restarts}")
-    if maxiter < 1:
-        raise ValidationError(f"the oracle needs at least one simplex step, got maxiter={maxiter}")
+    restarts, maxiter = _count_arg("restarts", restarts, 1), _count_arg("maxiter", maxiter, 1)
     b = bloch_triple(rho)
     starts = oracle_starts(restarts, _count_arg("seed", seed, 0))
-    sim = starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
+    sim = starts[:, None, :] + np.vstack([np.zeros(3), 0.5 * np.eye(3)])
     best, _ = nelder_mead(
-        lambda z: chi_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8, settle=2
+        lambda z: _projected_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8, settle=2
     )
     return float(best.min())

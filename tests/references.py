@@ -42,6 +42,56 @@ def sample_zero_discord_state(seed):
     return zero_discord_mixture(e, p1, b1, b2)
 
 
+def chi_starts(restarts, seed):
+    """Multi-start points of chi_distance_sq's 9-parameter family, drawn in the order theta,
+    phi, tau, then the two ball vectors: the first three columns are the library's
+    oracle_starts."""
+    rng = np.random.default_rng(seed)
+    starts = np.empty((restarts, 9))
+    starts[:, 0] = np.arccos(rng.uniform(-1.0, 1.0, restarts))
+    starts[:, 1] = rng.uniform(0.0, 2.0 * np.pi, restarts)
+    starts[:, 2] = rng.standard_normal(restarts)
+    starts[:, 3:9] = rng.standard_normal((restarts, 6))
+    return starts
+
+
+def chi_distance_sq(z, xv, yv, tmat):
+    """Squared Hilbert-Schmidt distance from the target Bloch triple
+    (xv, yv, tmat) to the zero-discord states encoded by the rows of z.
+
+    z has shape (N, 9) and the result shape (N,).  z[:, 0:2] are sphere
+    angles of the measured direction e, tanh(z[:, 2]) is the outcome bias
+    p1 - p2, and z[:, 3:6], z[:, 6:9] map into the unit ball as the Bloch
+    vectors of the two conditional states, so every z is physical.  This is
+    the oracle's whole family searched directly, a batched objective for
+    testing the simplex on.
+    """
+    zt = np.ascontiguousarray(z.T)
+    m = zt.shape[1]
+    sin = np.sin(zt[:2])
+    cos = np.cos(zt[:2])
+    t = np.tanh(zt[2])
+    sq = zt[3:9] ** 2
+    radius = np.maximum(np.sqrt(sq[::3] + sq[1::3] + sq[2::3]), 1e-12)
+    weight = np.tanh(radius) / radius  # exactly 1 at the clamp
+    weight[0] *= 0.5 + 0.5 * t
+    weight[1] *= 0.5 - 0.5 * t
+    b1, b2 = zt[3:9].reshape(2, 3, m) * weight[:, None]  # p1 b1 and p2 b2
+
+    # model rows: t e, s+ = p1 b1 + p2 b2, then e_i s- for s- = p1 b1 - p2 b2
+    model = np.empty((15, m))
+    e = model[:3]
+    np.multiply(sin[0], cos[1], out=e[0])
+    np.multiply(sin[0], sin[1], out=e[1])
+    e[2] = cos[0]
+    np.multiply(e[:, None], b1 - b2, out=model[6:].reshape(3, 3, m))
+    e *= t
+    np.add(b1, b2, out=model[3:6])
+    model -= np.concatenate([xv, yv, np.ravel(tmat)])[:, None]
+    model *= model
+    return 0.25 * model.sum(axis=0)
+
+
 def conditional_ensemble(rho, projectors):
     """(p_k, normalized state of B) after measuring A with a projector stack;
     outcomes below 1e-12 are dropped."""

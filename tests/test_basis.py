@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
-from qdiscord.basis import _gell_mann_traces
+from qdiscord.basis import _gell_mann_combinations, _gell_mann_traces
 from qdiscord.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from references import gell_mann_coefficients
 
@@ -101,6 +101,24 @@ class TestTraceReader:
         got = _gell_mann_traces(x)
         assert got.shape == (5, d * d)
         assert np.abs(got - expected).max() <= 1e-15 * np.abs(x).max()
+
+
+class TestCombinationWriter:
+    @pytest.mark.parametrize("d", range(2, 21))
+    def test_matches_the_stack_product(self, d):
+        # rows of orthonormal columns, as local_operators passes the columns of U and V
+        k = min(5, d * d)
+        q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d * d, k)))
+        expected = (q.T @ qd.gell_mann_basis(d).reshape(d * d, -1)).reshape(k, d, d)
+        got = _gell_mann_combinations(q.T, d)
+        assert got.shape == (k, d, d)
+        assert np.abs(got - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 16])
+    def test_is_the_adjoint_of_the_trace_reader(self, d):
+        # orthonormal basis: the traces against G_m of sum_m v_m G_m give back v
+        v = np.random.default_rng(d).standard_normal((4, d * d))
+        assert np.abs(_gell_mann_traces(_gell_mann_combinations(v, d)) - v).max() <= 1e-14
 
 
 class TestExpand:

@@ -84,7 +84,7 @@ class TestCorrelationMatrix:
     def test_entries_match_elementwise_sum(self, dims):
         rho = qd.random_density_matrix(*dims, 40 + sum(dims))
         cm = qd.correlation_matrix(rho)
-        ops_a, ops_b = cm.basis_a, cm.basis_b
+        ops_a, ops_b = cm.basis_a, qd.gell_mann_basis(cm.dim_b)
         # r_nm = Tr[rho (A_n x B_m)], one Kronecker product at a time
         expected = np.array(
             [[np.trace(rho.mat @ np.kron(a, b)).real for b in ops_b] for a in ops_a]
@@ -165,7 +165,7 @@ class TestLocalOperators:
         assert len(pairs) == qd.numerical_rank(cm)
         for n, p in enumerate(pairs):
             op_a = np.einsum("k,kij->ij", cm.svd_u[:, n], cm.basis_a)
-            op_b = np.einsum("k,kij->ij", cm.svd_v[:, n], cm.basis_b)
+            op_b = np.einsum("k,kij->ij", cm.svd_v[:, n], qd.gell_mann_basis(cm.dim_b))
             assert np.abs(p.op_a - op_a).max() <= 1e-14
             assert np.abs(p.op_b - op_b).max() <= 1e-14
 
@@ -213,6 +213,19 @@ class TestLocalOperators:
         pairs = qd.local_operators(qd.correlation_matrix(eq4_state))
         largest = max(commutator_norm(p.op_a, q.op_a) for p in pairs for q in pairs)
         assert largest > 0.1
+
+    def test_2x256_leaves_no_b_stack_in_the_cache(self):
+        # each F_n is written from its column of V; the d_B = 256 stack alone would be 64 GiB
+        u = qd.random_unitary(256, 1)
+        rho = qd.dqc1_output_state(qd.Dqc1Instance(n=8, alpha=0.6, unitary=u))
+        qd.gell_mann_basis.cache_clear()
+        cm = qd.correlation_matrix(rho)
+        pairs = qd.local_operators(cm)
+        assert len(pairs) == qd.numerical_rank(cm) >= 1
+        assert all(p.op_b.shape == (256, 256) for p in pairs)
+        assert qd.gell_mann_basis.cache_info().currsize == 1  # d_A = 2's stack only
+        acc = sum(p.weight * np.kron(p.op_a, p.op_b) for p in pairs)
+        assert np.abs(acc - rho.mat).max() <= 1e-15
 
 
 class TestZeroDiscordTest:

@@ -445,7 +445,7 @@ class TestCliGeometricEntropic:
         code, out, _ = _run(capsys, ["geometric", str(path)])
         assert code == 0
         assert json.loads(out)["value"] == qd.geometric_discord_2q(fileio.load_state(path)).value
-        # the 9-parameter oracle searches the 2x2 zero-discord family only
+        # the oracle searches the two-qubit zero-discord family only
         code, out, err = _run(capsys, ["geometric", str(path), "--oracle"])
         assert code == 2
         assert out == ""

@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -5,8 +6,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qdiscord as qd
-from qdiscord.geometric import chi_distance_sq, nelder_mead
-from references import hs_distance_sq, sample_zero_discord_state, zero_discord_mixture
+from qdiscord.geometric import _projected_distance_sq, nelder_mead
+from references import (
+    chi_distance_sq,
+    chi_starts,
+    hs_distance_sq,
+    sample_zero_discord_state,
+    zero_discord_mixture,
+)
 from sphere_simplex import _angles_to_dir, _initial_simplices
 
 
@@ -309,15 +316,46 @@ class TestOracle:
         assert qd.geometric_discord_oracle(product_mixed, restarts=16) <= 1e-8
 
     def test_bell_state(self, bell):
-        assert qd.geometric_discord_oracle(bell, restarts=16) == pytest.approx(0.5, abs=1e-6)
+        assert qd.geometric_discord_oracle(bell, restarts=16) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_closed_form(self):
         for seed in range(10):
             rho = qd.random_density_matrix(2, 2, seed)
             closed = qd.geometric_discord_2q(rho).value
             oracle = qd.geometric_discord_oracle(rho)
-            assert abs(oracle - closed) <= 1e-6
+            assert abs(oracle - closed) <= 1e-15
             assert oracle >= closed - 1e-8
+
+    def test_zero_discord_states_read_zero_and_never_below(self):
+        # the sum of squares is >= 0 by construction; |T|^2 - |T^T e|^2 + ... written out
+        # cancels to as low as -2.8e-17 at these states' optimum
+        for seed in range(10):
+            oracle = qd.geometric_discord_oracle(sample_zero_discord_state(seed))
+            assert 0.0 <= oracle <= 1e-12
+
+    @pytest.mark.parametrize("signs", itertools.product((1, -1), repeat=3))
+    def test_facet_states(self, signs):
+        oracle = qd.geometric_discord_oracle(qd.facet_state(*signs), restarts=16)
+        assert abs(oracle - 1 / 18) <= 1e-15
+
+    @pytest.mark.parametrize("restarts", [8, 16, 32])
+    def test_batches_stop_before_maxiter(self, monkeypatch, restarts):
+        # criterion 03's first 20 states; a batch that runs every step makes at least
+        # maxiter + 1 objective calls
+        plain = qd.geometric.nelder_mead
+        runs = []
+
+        def counting(fun, sim, maxiter, *args, **kwargs):
+            counted, calls = _counted(fun)
+            result = plain(counted, sim, maxiter, *args, **kwargs)
+            runs.append((len(calls), maxiter))
+            return result
+
+        monkeypatch.setattr(qd.geometric, "nelder_mead", counting)
+        for seed in range(20):
+            qd.geometric_discord_oracle(qd.random_density_matrix(2, 2, seed), restarts=restarts)
+        assert len(runs) == 20
+        assert all(calls - 1 < maxiter for calls, maxiter in runs)
 
     def test_deterministic(self, eq4_state):
         a = qd.geometric_discord_oracle(eq4_state, restarts=8, seed=3)
@@ -341,48 +379,92 @@ class TestOracle:
 
 
 def _oracle_simplices(restarts, seed):
-    starts = qd.geometric.oracle_starts(restarts, seed)
+    starts = chi_starts(restarts, seed)
     return starts[:, None, :] + np.vstack([np.zeros(9), 0.5 * np.eye(9)])
 
 
-def test_chi_distance_matches_state_distance():
-    rng = np.random.default_rng(4)
-    rho = qd.random_density_matrix(2, 2, 88)
-    b = qd.bloch_triple(rho)
-    z = rng.standard_normal((50, 9))
-    z[0, 3:6] = 0.0  # a conditional state at the centre of the ball
-    values = chi_distance_sq(z, b.x, b.y, b.corr)
-    assert values.shape == (50,)
-
-    def ball(v):
-        r = np.linalg.norm(v)
-        return v * np.tanh(r) / r if r > 1e-12 else v
-
-    for zi, val in zip(z, values):
-        theta, phi = zi[0], zi[1]
-        e = np.array(
-            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-        )
-        p1 = 0.5 * (1.0 + np.tanh(zi[2]))
-        chi = zero_discord_mixture(e, p1, ball(zi[3:6]), ball(zi[6:9]))
-        assert val == pytest.approx(hs_distance_sq(rho.mat, chi.mat), abs=1e-12)
+def _projected_pairs(z, b):
+    """The library's (e, t, u, w) at rows z = (theta, phi, tau): a, b = (y +- T^T e)/2
+    projected onto the balls of radius p1, p2, one row at a time."""
+    out = []
+    for theta, phi, tau in z:
+        e = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+        t = np.tanh(tau)
+        pair = []
+        for sign, radius in ((1.0, 0.5 * (1 + t)), (-1.0, 0.5 * (1 - t))):
+            target = 0.5 * (b.y + sign * b.corr.T @ e)
+            norm = np.linalg.norm(target)
+            pair.append(target if norm <= radius else target * (radius / norm))
+        out.append((e, t, *pair))
+    return out
 
 
-def test_chi_distance_bits_do_not_depend_on_memory_layout():
-    b = qd.bloch_triple(qd.random_density_matrix(2, 2, 31))
-    z = np.random.default_rng(6).standard_normal((80, 9))
-    wide = np.random.default_rng(7).standard_normal((160, 9))
-    wide[::2] = z  # wide[::2] is z as a row slice with a stride of two rows
-    values = chi_distance_sq(z, b.x, b.y, b.corr)
-    for other in (np.asfortranarray(z), wide[::2]):
-        assert np.array_equal(chi_distance_sq(other, b.x, b.y, b.corr), values)
+def _ball_preimage(v):
+    """z-block that chi_distance_sq maps to the ball vector v: |v| = tanh(r); r = 20 at
+    the surface, where tanh is 1.0 in floating point."""
+    r = np.linalg.norm(v)
+    if r == 0.0:
+        return v
+    return v * ((20.0 if r >= 1.0 else np.arctanh(r)) / r)
 
 
-def test_ball_weight_is_one_at_the_radius_clamp():
-    # chi_distance_sq clamps the ball radius at 1e-12 and takes tanh(r)/r
-    # without a case for r = 0; that holds only while this ratio is exactly 1
-    assert np.tanh(1e-12) / 1e-12 == 1.0
-    assert np.array_equal(np.tanh(np.full(5, 1e-12)) / 1e-12, np.ones(5))
+def _pin_states():
+    # random mixed, pure and zero-discord states, so both inactive and active projections occur
+    states = [qd.random_density_matrix(2, 2, 90 + seed) for seed in range(3)]
+    for seed in range(3):
+        psi = qd.random_unitary(4, 500 + seed)[:, 0]
+        states.append(qd.DensityMatrix(np.outer(psi, psi.conj()), 2, 2))
+    return states + [sample_zero_discord_state(seed) for seed in range(3)]
+
+
+class TestProjectedDistance:
+    def test_below_the_nine_parameter_family_at_any_ball_pair(self):
+        rng = np.random.default_rng(8)
+        for rho in _pin_states():
+            b = qd.bloch_triple(rho)
+            z = rng.standard_normal((200, 9))
+            reduced = _projected_distance_sq(z[:, :3], b.x, b.y, b.corr)
+            assert np.all(reduced <= chi_distance_sq(z, b.x, b.y, b.corr))
+
+    def test_equals_the_nine_parameter_family_at_the_projected_pair(self):
+        rng = np.random.default_rng(9)
+        active = 0
+        for rho in _pin_states():
+            b = qd.bloch_triple(rho)
+            z = rng.standard_normal((40, 3))
+            reduced = _projected_distance_sq(z, b.x, b.y, b.corr)
+            for zi, val, (e, t, u, w) in zip(z, reduced, _projected_pairs(z, b)):
+                p1, p2 = 0.5 * (1 + t), 0.5 * (1 - t)
+                z9 = np.concatenate([zi, _ball_preimage(u / p1), _ball_preimage(w / p2)])
+                assert abs(val - chi_distance_sq(z9[None], b.x, b.y, b.corr)[0]) <= 1e-15
+                active += np.linalg.norm(u) >= p1 * (1 - 1e-12)
+        assert 0 < active < 9 * 40  # some projections clip to the sphere and some do not
+
+    def test_is_attained_by_an_explicit_zero_discord_state(self):
+        rng = np.random.default_rng(10)
+        for rho in _pin_states():
+            b = qd.bloch_triple(rho)
+            z = rng.standard_normal((20, 3))
+            reduced = _projected_distance_sq(z, b.x, b.y, b.corr)
+            for val, (e, t, u, w) in zip(reduced, _projected_pairs(z, b)):
+                p1, p2 = 0.5 * (1 + t), 0.5 * (1 - t)
+                chi = zero_discord_mixture(e, p1, u / p1, w / p2)
+                assert abs(val - hs_distance_sq(rho.mat, chi.mat)) <= 1e-15
+
+    def test_bits_do_not_depend_on_memory_layout(self):
+        b = qd.bloch_triple(qd.random_density_matrix(2, 2, 31))
+        z = np.random.default_rng(6).standard_normal((80, 3))
+        wide = np.random.default_rng(7).standard_normal((160, 3))
+        wide[::2] = z  # wide[::2] is z as a row slice with a stride of two rows
+        values = _projected_distance_sq(z, b.x, b.y, b.corr)
+        for other in (np.asfortranarray(z), wide[::2]):
+            assert np.array_equal(_projected_distance_sq(other, b.x, b.y, b.corr), values)
+
+    def test_starts_are_the_first_columns_of_the_nine_parameter_starts(self):
+        for restarts, seed in [(1, 0), (8, 3), (32, 0)]:
+            starts = qd.geometric.oracle_starts(restarts, seed)
+            assert starts.shape == (restarts, 3)
+            assert np.array_equal(starts, chi_starts(restarts, seed)[:, :3])
 
 
 @pytest.mark.parametrize("n", [2, 9])

@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 import qdiscord as qd
 from qdiscord.linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from references import (
+    chi_distance_sq,
+    chi_starts,
     commutator_norm,
     direction_projectors,
     hs_distance_sq,
@@ -100,6 +102,55 @@ class TestZeroDiscordMixture:
             [p1, 1.0 - p1], [kets[:, 1], kets[:, 0]], [qubit_state(b1), qubit_state(b2)]
         )
         assert_allclose(zero_discord_mixture(e, p1, b1, b2).mat, cq.mat, atol=1e-15)
+
+
+class TestChiDistanceSq:
+    def test_matches_state_distance(self):
+        rng = np.random.default_rng(4)
+        rho = qd.random_density_matrix(2, 2, 88)
+        b = qd.bloch_triple(rho)
+        z = rng.standard_normal((50, 9))
+        z[0, 3:6] = 0.0  # a conditional state at the centre of the ball
+        values = chi_distance_sq(z, b.x, b.y, b.corr)
+        assert values.shape == (50,)
+
+        def ball(v):
+            r = np.linalg.norm(v)
+            return v * np.tanh(r) / r if r > 1e-12 else v
+
+        for zi, val in zip(z, values):
+            theta, phi = zi[0], zi[1]
+            e = np.array(
+                [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+            )
+            p1 = 0.5 * (1.0 + np.tanh(zi[2]))
+            chi = zero_discord_mixture(e, p1, ball(zi[3:6]), ball(zi[6:9]))
+            assert val == pytest.approx(hs_distance_sq(rho.mat, chi.mat), abs=1e-12)
+
+    def test_bits_do_not_depend_on_memory_layout(self):
+        b = qd.bloch_triple(qd.random_density_matrix(2, 2, 31))
+        z = np.random.default_rng(6).standard_normal((80, 9))
+        wide = np.random.default_rng(7).standard_normal((160, 9))
+        wide[::2] = z  # wide[::2] is z as a row slice with a stride of two rows
+        values = chi_distance_sq(z, b.x, b.y, b.corr)
+        for other in (np.asfortranarray(z), wide[::2]):
+            assert np.array_equal(chi_distance_sq(other, b.x, b.y, b.corr), values)
+
+    def test_ball_weight_is_one_at_the_radius_clamp(self):
+        # chi_distance_sq clamps the ball radius at 1e-12 and takes tanh(r)/r
+        # without a case for r = 0; that holds only while this ratio is exactly 1
+        assert np.tanh(1e-12) / 1e-12 == 1.0
+        assert np.array_equal(np.tanh(np.full(5, 1e-12)) / 1e-12, np.ones(5))
+
+    def test_starts_draw_in_a_fixed_order(self):
+        # theta, phi, tau, then the ball vectors, from one generator
+        rng = np.random.default_rng(5)
+        theta = np.arccos(rng.uniform(-1.0, 1.0, 6))
+        phi = rng.uniform(0.0, 2.0 * np.pi, 6)
+        tau = rng.standard_normal(6)
+        balls = rng.standard_normal((6, 6))
+        expected = np.column_stack([theta, phi, tau, balls])
+        assert np.array_equal(chi_starts(6, 5), expected)
 
 
 class TestHsDistanceSq:
