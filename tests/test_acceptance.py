@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qdiscord as qd
+from parity import criterion_05_states, random_b_state
 
 _SIGMAS = [np.eye(2, dtype=complex), qd.linalg.SIGMA_X, qd.linalg.SIGMA_Y, qd.linalg.SIGMA_Z]
 
@@ -25,24 +26,6 @@ def _random_tetrahedron_point(rng):
         t = rng.uniform(-1, 1, 3)
         if qd.tetrahedron_contains(t):
             return t
-
-
-def _random_b_state(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
-
-
-def _random_cq_state(seed):
-    rng = np.random.default_rng(seed)
-    dim_a = int(rng.integers(2, 4))
-    dim_b = int(rng.integers(2, 4))
-    k = int(rng.integers(2, dim_a + 1))
-    u = qd.random_unitary(dim_a, seed + 10_000)
-    p = rng.uniform(0.05, 1.0, k)
-    p /= p.sum()
-    states = [_random_b_state(rng, dim_b) for _ in range(k)]
-    return qd.classical_quantum_state(p, [u[:, i] for i in range(k)], states)
 
 
 def _pauli_string_unitary(indices, phase):
@@ -174,11 +157,11 @@ def test_criterion_04_facet_states_and_octahedron_maximum():
 
 
 def test_criterion_05_criterion_consistency_corpus():
+    cq_states, full_rank_states = criterion_05_states(qd)
     cq_failures = 0
     entropic_failures = 0
     computable = 0
-    for seed in range(200):
-        rho = _random_cq_state(seed)
+    for rho in cq_states:
         if not qd.zero_discord_test(rho).is_zero_discord:
             cq_failures += 1
         if rho.dim_a == 2:
@@ -187,11 +170,7 @@ def test_criterion_05_criterion_consistency_corpus():
                 entropic_failures += 1
 
     full_rank_passes = 0
-    rng = np.random.default_rng(55)
-    for seed in range(200):
-        dim_a = int(rng.integers(2, 4))
-        dim_b = int(rng.integers(2, 4))
-        rho = qd.random_density_matrix(dim_a, dim_b, 5000 + seed)
+    for rho in full_rank_states:
         if qd.zero_discord_test(rho).is_zero_discord:
             full_rank_passes += 1
     ok = cq_failures == 0 and entropic_failures == 0 and full_rank_passes == 0
@@ -363,7 +342,7 @@ def test_criterion_12_partial_tomography_witness():
     false_positives = 0
     rng = np.random.default_rng(123)
     for trial in range(500):
-        parts = [_random_b_state(rng, 2) for _ in range(2)]
+        parts = [random_b_state(rng, 2) for _ in range(2)]
         rho = qd.DensityMatrix(np.kron(parts[0], parts[1]), 2, 2)
         cm = qd.correlation_matrix(rho)
         size = int(rng.integers(1, 5))

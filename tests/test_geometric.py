@@ -1,5 +1,5 @@
 import itertools
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -311,6 +311,27 @@ class TestBellDiagonalFormula:
             qd.bell_diagonal_discord([1.0, 1.0, 1.0])
 
 
+@cache
+def _oracle_batch_calls(restarts):
+    """(objective calls, maxiter) of each oracle batch on criterion 03's first 20 states;
+    cached, so the two tests that read the 32-restart counts run those 20 calls once."""
+    plain = qd.geometric.nelder_mead
+    runs = []
+
+    def counting(fun, sim, maxiter, *args, **kwargs):
+        counted, calls = _counted(fun)
+        result = plain(counted, sim, maxiter, *args, **kwargs)
+        runs.append((len(calls), maxiter))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qd.geometric, "nelder_mead", counting)
+        for seed in range(20):
+            qd.geometric_discord_oracle(qd.random_density_matrix(2, 2, seed), restarts=restarts)
+    assert len(runs) == 20
+    return tuple(runs)
+
+
 class TestOracle:
     def test_product_state(self, product_mixed):
         assert qd.geometric_discord_oracle(product_mixed, restarts=16) <= 1e-8
@@ -339,23 +360,15 @@ class TestOracle:
         assert abs(oracle - 1 / 18) <= 1e-15
 
     @pytest.mark.parametrize("restarts", [8, 16, 32])
-    def test_batches_stop_before_maxiter(self, monkeypatch, restarts):
-        # criterion 03's first 20 states; a batch that runs every step makes at least
-        # maxiter + 1 objective calls
-        plain = qd.geometric.nelder_mead
-        runs = []
+    def test_batches_stop_before_maxiter(self, restarts):
+        # a batch that runs every step makes at least maxiter + 1 objective calls
+        assert all(calls - 1 < maxiter for calls, maxiter in _oracle_batch_calls(restarts))
 
-        def counting(fun, sim, maxiter, *args, **kwargs):
-            counted, calls = _counted(fun)
-            result = plain(counted, sim, maxiter, *args, **kwargs)
-            runs.append((len(calls), maxiter))
-            return result
-
-        monkeypatch.setattr(qd.geometric, "nelder_mead", counting)
-        for seed in range(20):
-            qd.geometric_discord_oracle(qd.random_density_matrix(2, 2, seed), restarts=restarts)
-        assert len(runs) == 20
-        assert all(calls - 1 < maxiter for calls, maxiter in runs)
+    def test_call_budget(self):
+        # moving p = n // 3 + 1 = 2 of the 4 vertices per step takes 67 objective calls
+        # per 32-restart batch on average (99 at most); the one-vertex step took 133 (191)
+        calls = [calls for calls, _ in _oracle_batch_calls(32)]
+        assert np.mean(calls) <= 90 and max(calls) <= 130
 
     def test_deterministic(self, eq4_state):
         a = qd.geometric_discord_oracle(eq4_state, restarts=8, seed=3)
@@ -467,10 +480,11 @@ class TestProjectedDistance:
             assert np.array_equal(starts, chi_starts(restarts, seed)[:, :3])
 
 
-@pytest.mark.parametrize("n", [2, 9])
+@pytest.mark.parametrize("n", [2, 3, 9])
 def test_trial_points_are_the_centroid_formula(n):
-    # one step of nelder_mead evaluates cen + c (v - cen) for each moved
-    # vertex v and each c of reflection, expansion and both contractions
+    # one step of nelder_mead evaluates cen + c (v - cen) for each of the
+    # p = n // 3 + 1 moved vertices v and each c of reflection, expansion and
+    # both contractions; n = 3 is the oracle's own search
     rng = np.random.default_rng(n)
     sim = 10.0 * rng.standard_normal((5, n + 1, n)) + 100.0
     seen = []
@@ -482,7 +496,7 @@ def test_trial_points_are_the_centroid_formula(n):
     nelder_mead(fun, sim, 1, -1.0, -1.0)
     order = np.argsort(fun(seen[0]).reshape(5, n + 1), axis=1)
     ordered = np.take_along_axis(sim, order[..., None], axis=1)
-    p = max(1, n // 3)
+    p = n // 3 + 1
     cen = ordered[:, : n + 1 - p].mean(axis=1)[:, None, None, :]
     contract = 0.75 - 0.5 / n
     coefs = np.array([-1.0, -(1.0 + 2.0 / n), -contract, contract])[:, None]
