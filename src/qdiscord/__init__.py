@@ -12,7 +12,6 @@ from .correlation import (
     LocalOperatorPair,
     PartialRowsVerdict,
     ZeroDiscordVerdict,
-    certifying_rows,
     correlation_matrix,
     local_operators,
     numerical_rank,

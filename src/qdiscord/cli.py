@@ -14,13 +14,7 @@ import time
 import numpy as np
 
 from . import fileio
-from .correlation import (
-    COMMUTATOR_TOL,
-    RANK_RTOL,
-    certifying_rows,
-    partial_rows_witness,
-    zero_discord_test,
-)
+from .correlation import COMMUTATOR_TOL, RANK_RTOL, partial_rows_witness, zero_discord_test
 from .dqc1 import (
     MAX_REGISTER_QUBITS,
     Dqc1Instance,
@@ -102,7 +96,7 @@ def cmd_witness(args) -> int:
         "rows_supplied": len(rows),
     }
     if verdict.discord_proven:
-        doc["certifying_rows"] = certifying_rows(rows, dim_a)
+        doc["certifying_rows"] = verdict.certifying_rows
     _print_doc(doc)
     return 0
 

@@ -69,22 +69,22 @@ class ZeroDiscordVerdict:
 
 @dataclass(frozen=True)
 class PartialRowsVerdict:
+    """``certifying_rows`` is a greedy minimal list of a_index values whose rows
+    prove discord on their own, or None when the rows do not prove it."""
+
     discord_proven: bool
     independent_count: int
+    certifying_rows: list[int] | None
 
 
-def _rank_cutoff(c: np.ndarray, atol: float, rtol: float) -> float:
-    """Singular-value cutoff max(atol, rtol * c_max) for descending, possibly empty, c."""
-    return max(atol, rtol * (c[0] if c.size else 0.0))
+def _rank_cutoff(c: np.ndarray, rtol: float = RANK_RTOL) -> float:
+    """Singular-value cutoff max(RANK_ATOL, rtol * c_max) for descending, possibly empty, c."""
+    return max(RANK_ATOL, rtol * (c[0] if c.size else 0.0))
 
 
-def correlation_matrix(
-    rho: DensityMatrix,
-    atol: float = RANK_ATOL,
-    rtol: float = RANK_RTOL,
-) -> CorrelationMatrix:
+def correlation_matrix(rho: DensityMatrix, rtol: float = RANK_RTOL) -> CorrelationMatrix:
     """Correlation matrix r_nm = Tr[rho (A_n x B_m)] with eager SVD; no B stack above d_B = 8."""
-    _check_tolerances(atol=atol, rtol=rtol)
+    _check_tolerances(rtol=rtol)
     if rho.dim_a < 2 or rho.dim_b < 2:
         raise DimensionError(
             f"the criterion needs subsystem dimensions >= 2, got state dims ({rho.dim_a}, {rho.dim_b})"
@@ -95,9 +95,7 @@ def correlation_matrix(
     else:
         r = _expand(rho, basis_a, gell_mann_basis(rho.dim_b))
     u, c, vh = np.linalg.svd(r, full_matrices=False)
-    return CorrelationMatrix(
-        r, basis_a, u, vh.T, c, _rank_cutoff(c, atol, rtol), rho.dim_a, rho.dim_b
-    )
+    return CorrelationMatrix(r, basis_a, u, vh.T, c, _rank_cutoff(c, rtol), rho.dim_a, rho.dim_b)
 
 
 def numerical_rank(cm: CorrelationMatrix) -> int:
@@ -118,21 +116,19 @@ def local_operators(cm: CorrelationMatrix) -> list[LocalOperatorPair]:
 
 
 def zero_discord_test(
-    rho: DensityMatrix,
-    tol: float = COMMUTATOR_TOL,
-    rank_atol: float = RANK_ATOL,
-    rank_rtol: float = RANK_RTOL,
+    rho: DensityMatrix, tol: float = COMMUTATOR_TOL, rank_rtol: float = RANK_RTOL
 ) -> ZeroDiscordVerdict:
     """Decide whether a state has zero discord with respect to subsystem A.
 
     The verdict is rank_l <= d_A and max_commutator <= tol, where rank_l
-    counts the singular values of R above the rank cutoff and max_commutator
-    is the largest Frobenius norm ||S_i S_j - S_j S_i|| over the retained S_n.
+    counts the singular values of R above max(RANK_ATOL, rank_rtol * c_max)
+    and max_commutator is the largest Frobenius norm ||S_i S_j - S_j S_i||
+    over the retained S_n.
     The S_n are orthonormal (an orthonormal basis rotated by orthonormal
     columns of U), so these norms need no rescaling.
     """
-    _check_tolerances(tol=tol, rank_atol=rank_atol, rank_rtol=rank_rtol)
-    cm = correlation_matrix(rho, atol=rank_atol, rtol=rank_rtol)
+    _check_tolerances(tol=tol, rank_rtol=rank_rtol)
+    cm = correlation_matrix(rho, rtol=rank_rtol)
     rank = numerical_rank(cm)
     witness = rank > rho.dim_a
 
@@ -181,39 +177,34 @@ def _coerce_rows(rows, dim_a) -> tuple[np.ndarray, np.ndarray]:
     return np.array(indices), stacked
 
 
-def partial_rows_witness(
-    rows,
-    dim_a: int,
-    atol: float = RANK_ATOL,
-    rtol: float = RANK_RTOL,
-) -> PartialRowsVerdict:
+def partial_rows_witness(rows, dim_a: int) -> PartialRowsVerdict:
     """Discord witness from a subset of correlation-matrix rows.
 
     ``rows`` is an iterable of (a_index, vector) pairs.  Finding d_A + 1
-    linearly independent rows proves the state has non-zero discord.  ``dim_a``
-    must be an integer >= 1 (DimensionError) and each a_index an integer in
-    0..dim_a^2 - 1 (ValidationError).
+    linearly independent rows proves the state has non-zero discord; the
+    verdict then names the first d_A + 1 rows, in the order given, that each
+    add a dimension.  ``dim_a`` must be an integer >= 1 (DimensionError) and
+    each a_index an integer in 0..dim_a^2 - 1 (ValidationError).
     """
-    _check_tolerances(atol=atol, rtol=rtol)
-    _, stacked = _coerce_rows(rows, dim_a)
-    c = np.linalg.svd(stacked, compute_uv=False)
-    count = int(np.sum(c > _rank_cutoff(c, atol, rtol)))
-    return PartialRowsVerdict(discord_proven=count >= dim_a + 1, independent_count=count)
-
-
-def certifying_rows(rows, dim_a: int, atol: float = RANK_ATOL, rtol: float = RANK_RTOL):
-    """Greedy minimal list of a_index values whose rows certify the witness.
-
-    Returns None when the supplied rows cannot prove discord.
-    """
-    _check_tolerances(atol=atol, rtol=rtol)
     indices, stacked = _coerce_rows(rows, dim_a)
+    c = np.linalg.svd(stacked, compute_uv=False)
+    count = int(np.sum(c > _rank_cutoff(c)))
+    proven = count >= dim_a + 1
+    return PartialRowsVerdict(
+        discord_proven=proven,
+        independent_count=count,
+        certifying_rows=_greedy_rows(indices, stacked, dim_a) if proven else None,
+    )
+
+
+def _greedy_rows(indices, stacked, dim_a) -> list[int] | None:
+    """The first dim_a + 1 rows that each raise the rank of those kept, else None."""
     picked: list[int] = []
     kept = np.empty((0, stacked.shape[1]))
     for pos in range(len(indices)):
         candidate = np.vstack([kept, stacked[pos]])
         c = np.linalg.svd(candidate, compute_uv=False)
-        if int(np.sum(c > _rank_cutoff(c, atol, rtol))) == candidate.shape[0]:
+        if int(np.sum(c > _rank_cutoff(c))) == candidate.shape[0]:
             kept = candidate
             picked.append(int(indices[pos]))
             if len(picked) >= dim_a + 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotUnitaryError, ValidationError
-from .linalg import PSD_ATOL, DensityMatrix, _check_tolerances, _count_arg
+from .linalg import PSD_ATOL, DensityMatrix, _count_arg
 
 UNITARY_ATOL = 1e-9
 CLASSICALITY_RTOL = 1e-9
@@ -177,10 +177,10 @@ class Dqc1Classicality:
     trace_u2: complex
 
 
-def dqc1_classicality_check(u, tol: float = CLASSICALITY_RTOL) -> Dqc1Classicality:
+def dqc1_classicality_check(u) -> Dqc1Classicality:
     """The DQC1 output state has zero discord iff U = exp(i phi) A, A a Hermitian unitary.
 
-    phi = arg(Tr U^2)/2, and the verdict is ||A - A†||_F <= tol ||U||_F for
+    phi = arg(Tr U^2)/2, and the verdict is ||A - A†||_F <= CLASSICALITY_RTOL ||U||_F for
     A = exp(-i phi) U; no U^2 product is formed.  U† is built once: Tr U^2 =
     sum_ij U_ij U_ji is the dot product <U†, U> of the flattened arrays, and
     U - exp(2i phi) U† = exp(i phi)(A - A†), of the same norm, is formed in
@@ -191,12 +191,11 @@ def dqc1_classicality_check(u, tol: float = CLASSICALITY_RTOL) -> Dqc1Classicali
     ``u`` is a raw unitary, checked for unitarity here, or a ``Dqc1Instance``,
     whose unitary passed that check when the instance was built.
     """
-    _check_tolerances(tol=tol)
     u = u.unitary if isinstance(u, Dqc1Instance) else _check_unitary(u)
     skew = np.conjugate(u.T, out=np.empty_like(u))
     trace_u2 = complex(np.vdot(skew, u))
     phase = float(np.angle(trace_u2) / 2.0)
     skew *= -np.exp(2j * phase)
     skew += u
-    zero = bool(np.linalg.norm(skew) <= tol * np.linalg.norm(u))
+    zero = bool(np.linalg.norm(skew) <= CLASSICALITY_RTOL * np.linalg.norm(u))
     return Dqc1Classicality(zero_discord=zero, phase=phase if zero else None, trace_u2=trace_u2)

@@ -129,13 +129,15 @@ def _newton_refine(scan, starts, f, h, maxiter, fatol, xatol):
     """Minimize ``scan`` from each unit vector start (R, 3) of value f (R,).
 
     Start e moves in its tangent plane, x -> normalize(e + x1 u + x2 v).  An
-    iteration scans a 3x3 stencil of spacing h around every active centre,
-    whose central differences give the gradient and Hessian, then the Newton
-    point where that Hessian is positive definite, capped at 4h.  A start
-    keeps the best of centre, stencil and Newton point; h becomes a quarter
-    of the step if it moved, else a quarter of h.  It stops at h < xatol, or
-    after a gain <= fatol on a flat stencil; all stop once two stopped starts
-    agree within fatol and no start is lower.  Returns (f, dirs, scans).
+    iteration scans a 3x3 stencil of spacing h around every centre, whose
+    central differences give the gradient and Hessian, then the Newton point,
+    capped at 4h, which counts where that Hessian is positive definite.
+    Stopped starts are scanned too and masked out, which costs less numpy
+    bookkeeping than compacting the active ones.  A start keeps the best of
+    centre, stencil and Newton point; h becomes a quarter of the step if it
+    moved, else a quarter of h.  It stops at h < xatol, or after a gain <=
+    fatol on a flat stencil; all stop once two stopped starts agree within
+    fatol and no start is lower.  Returns (f, dirs, scans).
     """
     r = len(starts)
     k = np.abs(starts).argmin(axis=1)  # the axis least aligned with e
@@ -144,47 +146,45 @@ def _newton_refine(scan, starts, f, h, maxiter, fatol, xatol):
     v = starts[:, [1, 2, 0]] * u[:, [2, 0, 1]] - starts[:, [2, 0, 1]] * u[:, [1, 2, 0]]  # e x u
     uv = np.stack([u, v], axis=1)
 
-    def dirs(i, x):  # the unit vectors of points x (len(i), m, 2)
-        d = starts[i, None] + x @ uv[i]
+    def dirs(x):  # the unit vectors of points x (R, m, 2)
+        d = starts[:, None] + x @ uv
         return d / np.sqrt((d * d).sum(axis=-1, keepdims=True))
 
     x, f, h = np.zeros((r, 2)), np.array(f, dtype=float), np.full(r, h)
     active = np.ones(r, dtype=bool)
     scans = 0
     for _ in range(maxiter):
-        a = active.nonzero()[0]
-        if a.size == 0:
+        if not active.any():
             break
-        xa, fa, ha = x[a], f[a], h[a]
-        fs = scan(dirs(a, xa[:, None] + ha[:, None, None] * _STENCIL).reshape(-1, 3)).reshape(-1, 8)
-        df = fs - fa[:, None]
+        fs = scan(dirs(x[:, None] + h[:, None, None] * _STENCIL).reshape(-1, 3)).reshape(-1, 8)
+        df = fs - f[:, None]
         # in units of h; columns 1, 6, 3, 4 are the points (-1, 0), (1, 0), (0, -1), (0, 1)
         g1, g2 = 0.5 * (df[:, 6] - df[:, 1]), 0.5 * (df[:, 4] - df[:, 3])
         h11, h22 = df[:, 6] + df[:, 1], df[:, 4] + df[:, 3]
         h12 = 0.25 * (df[:, 7] - df[:, 5] - df[:, 2] + df[:, 0])
         det = h11 * h22 - h12 * h12
-        best = fs.argmin(axis=1)
-        new_f, step = fs[np.arange(a.size), best], _STENCIL[best]
-        pd = ((h11 > 0.0) & (det > 0.0)).nonzero()[0]
-        if pd.size:
-            t = np.array([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2])[:, pd] / det[pd]
+        new_f, step = fs.min(axis=1), _STENCIL[fs.argmin(axis=1)]
+        pd = active & (h11 > 0.0) & (det > 0.0)
+        if pd.any():
+            t = np.array([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2]) / np.where(pd, det, 1.0)
             t = (t * (4.0 / np.maximum(np.sqrt(t[0] * t[0] + t[1] * t[1]), 4.0))).T  # |t| <= 4
-            fn = scan(dirs(a[pd], (xa[pd] + ha[pd, None] * t)[:, None])[:, 0])
-            newton = fn < new_f[pd]
-            new_f[pd[newton]], step[pd[newton]] = fn[newton], t[newton]
-        scans += 1 + bool(pd.size)
-        moved = new_f < fa
-        gain = np.where(moved, fa - new_f, 0.0)
-        x[a] = xa + np.where(moved[:, None], ha[:, None] * step, 0.0)
-        f[a] = np.minimum(fa, new_f)
-        h[a] = ha = ha * (0.25 * np.where(moved, np.sqrt((step * step).sum(axis=1)), 1.0))
-        active[a] = (ha >= xatol) & ((gain > fatol) | (np.abs(df).max(axis=1) > fatol))
+            fn = scan(dirs((x + h[:, None] * t)[:, None])[:, 0])
+            newton = pd & (fn < new_f)
+            new_f[newton], step[newton] = fn[newton], t[newton]
+        scans += 1 + bool(pd.any())
+        moved = active & (new_f < f)
+        gain = np.where(moved, f - new_f, 0.0)
+        x += np.where(moved[:, None], h[:, None] * step, 0.0)
+        f = np.where(moved, new_f, f)
+        shrink = 0.25 * np.where(moved, np.sqrt((step * step).sum(axis=1)), 1.0)
+        h = h * np.where(active, shrink, 1.0)
+        active &= (h >= xatol) & ((gain > fatol) | (np.abs(df).max(axis=1) > fatol))
         frozen = f[~active]
         if frozen.size > 1:
             low = frozen.min()
             if np.count_nonzero(frozen <= low + fatol) >= 2 and low <= f.min():
                 break
-    return f, dirs(np.arange(r), x[:, None])[:, 0], scans
+    return f, dirs(x[:, None])[:, 0], scans
 
 
 @dataclass(frozen=True)
@@ -272,12 +272,7 @@ def classical_correlation_qa(
     )
 
 
-def entropic_discord(
-    rho: DensityMatrix,
-    grid_points: int = GRID_POINTS,
-    refine_iters: int = REFINE_ITERS,
-    refine_starts: int = REFINE_STARTS,
-) -> float:
+def entropic_discord(rho: DensityMatrix) -> float:
     """Discord D_A = I - Q_A in bits, clamped at zero against float noise."""
-    qa = classical_correlation_qa(rho, grid_points, refine_iters, refine_starts)
+    qa = classical_correlation_qa(rho)
     return max(0.0, mutual_information(rho) - qa.value)

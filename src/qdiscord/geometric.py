@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OutsidePhysicalError
-from .linalg import _PAULI_STACK, DensityMatrix, _check_tolerances
-from .linalg import _count_arg, _expand, _rebuild, a_side_blocks
+from .linalg import _PAULI_STACK, DensityMatrix, _count_arg, _expand, _rebuild, a_side_blocks
 
 # Bell-diagonal tetrahedron vertices; 1 + t.v >= 0 for each vertex v is
 # exactly eigenvalue positivity of (1x1 + sum t_i sigma_i x sigma_i)/4.
@@ -29,6 +28,12 @@ _TETRA_VERTICES = np.array(
     [[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=float
 )
 _HALF_SIGNS = np.array([[0.5], [-0.5]])  # a, b = y/2 +- T^T e/2 and p1, p2 = 1/2 +- t/2
+# slack of the region tests, for rounding in a t that lies on a face (Bell states sit on
+# the tetrahedron's vertices, facet states on the octahedron's faces)
+REGION_ATOL = 1e-12
+# step cap of the oracle's simplex batch; on criterion 03 every batch at 8, 16 and 32
+# restarts stops before it, after at most 104 objective calls
+ORACLE_MAXITER = 1500
 
 
 def _correlation_vector(t) -> np.ndarray:
@@ -39,16 +44,14 @@ def _correlation_vector(t) -> np.ndarray:
     return t
 
 
-def tetrahedron_contains(t, atol: float = 1e-12) -> bool:
+def tetrahedron_contains(t) -> bool:
     """True if the Bell-diagonal state with correlation vector t is physical."""
-    _check_tolerances(atol=atol)
-    return bool(np.all(1.0 + _TETRA_VERTICES @ _correlation_vector(t) >= -atol))
+    return bool(np.all(1.0 + _TETRA_VERTICES @ _correlation_vector(t) >= -REGION_ATOL))
 
 
-def octahedron_contains(t, atol: float = 1e-12) -> bool:
+def octahedron_contains(t) -> bool:
     """True if the Bell-diagonal state with correlation vector t is separable."""
-    _check_tolerances(atol=atol)
-    return bool(np.abs(_correlation_vector(t)).sum() <= 1.0 + atol)
+    return bool(np.abs(_correlation_vector(t)).sum() <= 1.0 + REGION_ATOL)
 
 
 @dataclass(frozen=True)
@@ -257,25 +260,21 @@ def nelder_mead(fun, sim, maxiter: int, fatol: float, xatol: float, settle: int 
     return f[idx, best], sim[idx, best]
 
 
-def geometric_discord_oracle(
-    rho: DensityMatrix,
-    restarts: int = 32,
-    seed: int = 0,
-    maxiter: int = 1500,
-) -> float:
+def geometric_discord_oracle(rho: DensityMatrix, restarts: int = 32, seed: int = 0) -> float:
     """Geometric discord by direct minimization over zero-discord states.
 
     Multi-start Nelder-Mead over the measurement direction and outcome bias, with
     the conditional Bloch vectors set exactly at each point (module docstring): each
     value is attained by an explicit zero-discord state, and none uses Luo and Fu's
     lemma or K.  The restarts run as one batch, which stops once two of them converge
-    to the same minimum and none is lower, or after ``maxiter`` steps.
+    to the same minimum and none is lower, or after ORACLE_MAXITER steps.
     """
-    restarts, maxiter = _count_arg("restarts", restarts, 1), _count_arg("maxiter", maxiter, 1)
+    restarts = _count_arg("restarts", restarts, 1)
     b = bloch_triple(rho)
     starts = oracle_starts(restarts, _count_arg("seed", seed, 0))
     sim = starts[:, None, :] + np.vstack([np.zeros(3), 0.5 * np.eye(3)])
     best, _ = nelder_mead(
-        lambda z: _projected_distance_sq(z, b.x, b.y, b.corr), sim, maxiter, 1e-13, 1e-8, settle=2
+        lambda z: _projected_distance_sq(z, b.x, b.y, b.corr),
+        sim, ORACLE_MAXITER, 1e-13, 1e-8, settle=2,
     )
     return float(best.min())

@@ -11,6 +11,15 @@ from .errors import DimensionError, OutsidePhysicalError, ValidationError
 from .geometric import state_from_bloch, tetrahedron_contains
 from .linalg import DensityMatrix, _count_arg, a_side_blocks, a_side_sum
 
+# a weight may round below 0 by this much, as 1 - (sum of the others) does
+WEIGHT_FLOOR = -1e-12
+# |sum p - 1| allowed: weights typed or read from a file carry rounding of their own
+WEIGHT_SUM_ATOL = 1e-10
+# largest |<u_i|u_j> - delta_ij| allowed: the columns of a numerical unitary pass
+ORTHONORMAL_ATOL = 1e-10
+# | ||k|| - 1 | allowed for a re-prepared ket: a ket normalized in floats passes
+KET_NORM_ATOL = 1e-10
+
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -87,13 +96,13 @@ def classical_quantum_state(p, kets, states) -> DensityMatrix:
         raise DimensionError(f"kets must be 1-d and of one length, got {[k.shape for k in kets]}")
     if any(m.ndim != 2 or m.shape != mats[0].shape[:1] * 2 for m in mats):
         raise DimensionError(f"B states must be square and of one size, got {[m.shape for m in mats]}")
-    if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-10):  # written so that NaN fails
+    if not (np.all(p >= WEIGHT_FLOOR) and abs(p.sum() - 1.0) <= WEIGHT_SUM_ATOL):  # NaN fails
         raise ValidationError(f"p must be nonnegative and sum to 1, got {p.tolist()}")
     dim_a = kets[0].shape[0]
     if len(p) > dim_a:
         raise ValidationError(f"at most {dim_a} orthonormal kets fit in dimension {dim_a}")
     gram = np.array([[np.vdot(u, v) for v in kets] for u in kets])
-    if not np.abs(gram - np.eye(len(kets))).max() <= 1e-10:
+    if not np.abs(gram - np.eye(len(kets))).max() <= ORTHONORMAL_ATOL:
         raise ValidationError("kets are not orthonormal")
     ops_a = np.stack([pk * projector(ket) for pk, ket in zip(p, kets)])
     return DensityMatrix(a_side_sum(ops_a, np.stack(mats)), dim_a, mats[0].shape[0])
@@ -135,7 +144,7 @@ def measure_prepare_channel_a(rho: DensityMatrix, kets) -> DensityMatrix:
     kets = [np.asarray(k, dtype=complex) for k in kets]
     if len(kets) != 2 or any(k.shape != (2,) for k in kets):
         raise ValidationError("need exactly two single-qubit kets")
-    if not all(abs(np.linalg.norm(k) - 1.0) <= 1e-10 for k in kets):  # written so that NaN fails
+    if not all(abs(np.linalg.norm(k) - 1.0) <= KET_NORM_ATOL for k in kets):  # NaN fails
         raise ValidationError("kets must be normalized")
     diagonal = a_side_blocks(rho, np.stack([projector(KET0), projector(KET1)]))
     return DensityMatrix(a_side_sum(np.stack([projector(k) for k in kets]), diagonal), 2, rho.dim_b)

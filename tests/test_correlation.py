@@ -75,10 +75,16 @@ class TestCorrelationMatrix:
         )
 
     @pytest.mark.parametrize("bad", BAD_TOLERANCES)
-    @pytest.mark.parametrize("name", ["atol", "rtol"])
-    def test_rejects_bad_tolerance(self, bell, name, bad):
-        with pytest.raises(qd.ValidationError, match=f"^{name} must be finite and >= 0"):
-            qd.correlation_matrix(bell, **{name: bad})
+    def test_rejects_bad_tolerance(self, bell, bad):
+        with pytest.raises(qd.ValidationError, match="^rtol must be finite and >= 0"):
+            qd.correlation_matrix(bell, rtol=bad)
+
+    @pytest.mark.parametrize("rtol", [0.0, qd.correlation.RANK_RTOL])
+    def test_rank_tolerance_has_a_fixed_floor(self, rtol):
+        # c_max >= 1/sqrt(d_A d_B) for any state, so only rtol = 0 leaves the RANK_ATOL floor
+        cm = qd.correlation_matrix(qd.random_density_matrix(2, 3, 4), rtol=rtol)
+        expected = max(qd.correlation.RANK_ATOL, rtol * cm.singulars[0])
+        assert cm.rank_tolerance == expected
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 8), (2, 16)])
     def test_entries_match_elementwise_sum(self, dims):
@@ -375,8 +381,8 @@ class TestZeroDiscordTest:
         assert [qd.zero_discord_test(rho) for rho in states] == expected
 
     def test_rank_cutoff_above_every_singular_value(self):
-        # rank_atol is any finite value >= 0; a cutoff of 10 keeps no operator at all
-        verdict = qd.zero_discord_test(qd.random_density_matrix(3, 3, 0), rank_atol=10.0)
+        # rank_rtol is any finite value >= 0; a cutoff of 10 c_max keeps no operator at all
+        verdict = qd.zero_discord_test(qd.random_density_matrix(3, 3, 0), rank_rtol=10.0)
         assert verdict == qd.correlation.ZeroDiscordVerdict(True, 0, 0.0, False)
 
     def test_agrees_with_geometric_discord_on_clear_cases(self):
@@ -389,10 +395,14 @@ class TestZeroDiscordTest:
             assert qd.zero_discord_test(rho).is_zero_discord == zero_geometric
 
     @pytest.mark.parametrize("bad", BAD_TOLERANCES)
-    @pytest.mark.parametrize("name", ["tol", "rank_atol", "rank_rtol"])
+    @pytest.mark.parametrize("name", ["tol", "rank_rtol"])
     def test_rejects_bad_tolerance(self, bell, name, bad):
         with pytest.raises(qd.ValidationError, match=f"^{name} must be finite and >= 0"):
             qd.zero_discord_test(bell, **{name: bad})
+
+
+# shapes with d_A + 1 <= d_B^2, where a random state's rows can prove discord
+DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)]
 
 
 class TestPartialRowsWitness:
@@ -403,6 +413,7 @@ class TestPartialRowsWitness:
         verdict = qd.partial_rows_witness(rows, 2)
         assert not verdict.discord_proven
         assert verdict.independent_count <= 2
+        assert verdict.certifying_rows is None
 
     def test_bell_three_rows_prove(self, bell):
         cm = qd.correlation_matrix(bell)
@@ -414,20 +425,12 @@ class TestPartialRowsWitness:
     def test_insufficient_rows(self, bell):
         cm = qd.correlation_matrix(bell)
         rows = [(n, cm.r[n]) for n in (0, 1)]
-        assert not qd.partial_rows_witness(rows, 2).discord_proven
+        verdict = qd.partial_rows_witness(rows, 2)
+        assert not verdict.discord_proven and verdict.certifying_rows is None
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(qd.ValidationError):
             qd.partial_rows_witness([(0, [1.0, 0, 0, 0]), (0, [0, 1.0, 0, 0])], 2)
-
-    @pytest.mark.parametrize("bad", BAD_TOLERANCES)
-    @pytest.mark.parametrize("name", ["atol", "rtol"])
-    @pytest.mark.parametrize("func", [qd.partial_rows_witness, qd.certifying_rows])
-    def test_rejects_bad_tolerance(self, bell, func, name, bad):
-        cm = qd.correlation_matrix(bell)
-        rows = [(n, cm.r[n]) for n in range(4)]
-        with pytest.raises(qd.ValidationError, match=f"^{name} must be finite and >= 0"):
-            func(rows, 2, **{name: bad})
 
     @pytest.mark.parametrize(
         "dim_a, indices, error",
@@ -442,17 +445,61 @@ class TestPartialRowsWitness:
             (True, (0, 1, 2), qd.DimensionError),
         ],
     )
-    @pytest.mark.parametrize("func", [qd.partial_rows_witness, qd.certifying_rows])
-    def test_rejects_bad_dim_a_or_a_index(self, bell, func, dim_a, indices, error):
+    def test_rejects_bad_dim_a_or_a_index(self, bell, dim_a, indices, error):
         cm = qd.correlation_matrix(bell)
         rows = [(i, cm.r[n]) for n, i in enumerate(indices)]
         with pytest.raises(error, match="^(dim_a|a_index) must be an integer"):
-            func(rows, dim_a)
+            qd.partial_rows_witness(rows, dim_a)
 
     def test_certifying_rows(self, bell):
         cm = qd.correlation_matrix(bell)
         rows = [(n, cm.r[n]) for n in range(4)]
-        picked = qd.certifying_rows(rows, 2)
-        assert picked is not None and len(picked) == 3
-        subset = [(i, cm.r[i]) for i in picked]
-        assert qd.partial_rows_witness(subset, 2).discord_proven
+        picked = qd.partial_rows_witness(rows, 2).certifying_rows
+        assert picked == [0, 1, 2]
+        # the picked rows prove discord on their own, and certify themselves
+        subset = qd.partial_rows_witness([(i, cm.r[i]) for i in picked], 2)
+        assert subset.discord_proven and subset.certifying_rows == picked
+        # a row in the span of those kept adds no dimension and is passed over
+        mixed = [(0, cm.r[0]), (1, cm.r[1]), (2, cm.r[0] + cm.r[1]), (3, cm.r[3])]
+        assert qd.partial_rows_witness(mixed, 2).certifying_rows == [0, 1, 3]
+
+    @pytest.mark.parametrize("dims", DIMS, ids=[f"{a}x{b}" for a, b in DIMS])
+    def test_certifying_rows_prove_on_their_own(self, dims):
+        # a random state's R has rank min(d_A^2, d_B^2) >= d_A + 1
+        dim_a, dim_b = dims
+        cm = qd.correlation_matrix(qd.random_density_matrix(dim_a, dim_b, 21))
+        rows = [(n, cm.r[n]) for n in reversed(range(dim_a**2))]
+        verdict = qd.partial_rows_witness(rows, dim_a)
+        picked = verdict.certifying_rows
+        assert verdict.discord_proven and len(picked) == dim_a + 1
+        # picked in the order given: the last d_A + 1 rows of R, each independent
+        assert picked == list(range(dim_a**2 - 1, dim_a**2 - dim_a - 2, -1))
+        subset = qd.partial_rows_witness([(i, cm.r[i]) for i in picked], dim_a)
+        assert subset.discord_proven and subset.certifying_rows == picked
+
+    @pytest.mark.parametrize("dims", DIMS, ids=[f"{a}x{b}" for a, b in DIMS])
+    def test_zero_discord_rows_name_no_certificate(self, dims):
+        # a classical-quantum state's R has rank <= d_A, so no d_A + 1 rows are independent
+        dim_a, dim_b = dims
+        cm = qd.correlation_matrix(_random_cq_state(5, dim_a, dim_b))
+        verdict = qd.partial_rows_witness([(n, cm.r[n]) for n in range(dim_a**2)], dim_a)
+        assert not verdict.discord_proven
+        assert verdict.independent_count <= dim_a and verdict.certifying_rows is None
+
+    @pytest.mark.parametrize(
+        "scale, third, proven",
+        [
+            (1e-3, 0.5 * qd.correlation.RANK_ATOL, False),
+            (1e-3, 2.0 * qd.correlation.RANK_ATOL, True),
+            (1.0, 0.5 * qd.correlation.RANK_RTOL, False),
+            (1.0, 2.0 * qd.correlation.RANK_RTOL, True),
+        ],
+        ids=["atol-below", "atol-above", "rtol-below", "rtol-above"],
+    )
+    def test_rank_cutoff_is_fixed(self, scale, third, proven):
+        # cutoff max(RANK_ATOL, RANK_RTOL c_max): RANK_ATOL binds once c_max < 0.1
+        eye = np.eye(4)
+        rows = [(0, scale * eye[0]), (1, scale * eye[1]), (2, third * eye[2])]
+        verdict = qd.partial_rows_witness(rows, 2)
+        assert verdict.discord_proven == proven
+        assert verdict.certifying_rows == ([0, 1, 2] if proven else None)

@@ -367,6 +367,15 @@ class TestSampling:
 
 
 class TestClassicality:
+    @pytest.mark.parametrize(
+        "eps, zero", [(0.5e-9, True), (2e-9, False)], ids=["inside", "outside"]
+    )
+    def test_cutoff_is_classicality_rtol(self, eps, zero):
+        # U = diag(1, -exp(i eps)) has ||A - A^dagger||_F / ||U||_F = 2 sin(eps / 2) ~ eps
+        assert qd.dqc1.CLASSICALITY_RTOL == 1e-9
+        u = np.diag([1.0, -np.exp(1j * eps)])
+        assert qd.dqc1_classicality_check(u).zero_discord == zero
+
     def test_hadamard(self):
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         verdict = qd.dqc1_classicality_check(h)
@@ -387,11 +396,6 @@ class TestClassicality:
     def test_rejects_non_unitary(self):
         with pytest.raises(qd.NotUnitaryError):
             qd.dqc1_classicality_check(np.ones((2, 2)))
-
-    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
-    def test_rejects_bad_tolerance(self, bad):
-        with pytest.raises(qd.ValidationError, match="^tol must be finite and >= 0"):
-            qd.dqc1_classicality_check(qd.random_unitary(2, 5), tol=bad)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_written_out_u2_rule(self, n):

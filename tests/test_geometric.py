@@ -42,12 +42,13 @@ class TestRegionTests:
         assert not qd.tetrahedron_contains([1, 1, 1])
         assert not qd.octahedron_contains([0.6, 0.6, 0.0])
 
+    @pytest.mark.parametrize("delta, inside", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
     @pytest.mark.parametrize("contains", ["tetrahedron_contains", "octahedron_contains"])
-    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
-    def test_rejects_bad_tolerance(self, contains, bad):
-        # nan would call the origin outside both regions; inf would call every point inside
-        with pytest.raises(qd.ValidationError, match="^atol must be finite and >= 0"):
-            getattr(qd, contains)([0.0, 0.0, 0.0], atol=bad)
+    def test_slack_is_region_atol(self, contains, delta, inside):
+        # t on the facet 1 - t_1 - t_2 - t_3 = 0, pushed out by delta REGION_ATOL;
+        # that facet bounds both regions
+        t = (1.0 + delta * qd.geometric.REGION_ATOL) * np.full(3, 1 / 3)
+        assert getattr(qd, contains)(t) == inside
 
     @pytest.mark.parametrize(
         "func",
@@ -382,13 +383,19 @@ class TestOracle:
             chi = sample_zero_discord_state(seed)
             assert hs_distance_sq(rho.mat, chi.mat) >= value - 1e-10
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"maxiter": 0}, {"maxiter": -5}])
-    def test_rejects_empty_search(self, bell, kwargs):
+    def test_rejects_empty_search(self, bell):
         with pytest.raises(qd.ValidationError):
-            qd.geometric_discord_oracle(bell, **kwargs)
+            qd.geometric_discord_oracle(bell, restarts=0)
 
     def test_one_step_is_allowed(self, bell):
-        assert 0.0 <= qd.geometric_discord_oracle(bell, restarts=2, maxiter=1) <= 1.0
+        # the oracle's batch cut off after one step: the first simplices, one trial call
+        # and at most one shrink call, and values of the objective
+        b = qd.bloch_triple(bell)
+        fun, calls = _counted(lambda z: _projected_distance_sq(z, b.x, b.y, b.corr))
+        starts = qd.geometric.oracle_starts(2, 0)
+        sim = starts[:, None, :] + np.vstack([np.zeros(3), 0.5 * np.eye(3)])
+        f, _ = nelder_mead(fun, sim, 1, 1e-13, 1e-8, settle=2)
+        assert len(calls) <= 3 and np.all((0.0 <= f) & (f <= 1.0))
 
 
 def _oracle_simplices(restarts, seed):
@@ -508,8 +515,8 @@ def test_trial_points_are_the_centroid_formula(n):
 
 def test_oracle_search_deterministic():
     rho = qd.random_density_matrix(2, 2, 13)
-    a = qd.geometric_discord_oracle(rho, restarts=8, maxiter=800)
-    b = qd.geometric_discord_oracle(rho, restarts=8, maxiter=800)
+    a = qd.geometric_discord_oracle(rho, restarts=8)
+    b = qd.geometric_discord_oracle(rho, restarts=8)
     assert a == b
 
 

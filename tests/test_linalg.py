@@ -216,7 +216,6 @@ _U4 = qd.random_unitary(4, 0)
     [
         (lambda: qd.geometric_discord_oracle(_BELL, restarts=1.5), "restarts must be an"),
         (lambda: qd.geometric_discord_oracle(_BELL, restarts=True), "restarts must be an"),
-        (lambda: qd.geometric_discord_oracle(_BELL, maxiter=2.5), "maxiter must be an"),
         (lambda: qd.geometric_discord_oracle(_BELL, seed=-1), "need seed >= 0"),
         (lambda: qd.dqc1_sample_trace(qd.Dqc1Instance(2, 1.0, _U4), 2.5, 0), "samples must be an"),
         (lambda: qd.dqc1_sample_trace(qd.Dqc1Instance(2, 1.0, _U4), 10, -1), "need seed >= 0"),
@@ -246,7 +245,7 @@ _U4 = qd.random_unitary(4, 0)
         (lambda: qd.DensityMatrix(np.eye(4) / 4, 2.0, np.int64(2)).dim, None),
     ],
     ids=[
-        "oracle-restarts-fraction", "oracle-restarts-bool", "oracle-maxiter", "oracle-seed",
+        "oracle-restarts-fraction", "oracle-restarts-bool", "oracle-seed",
         "samples", "sample-seed", "n-bool", "n-fraction", "dim_a", "dim_b-str",
         "random-state-dim", "random-state-seed", "unitary-dim", "unitary-seed", "gell-mann-d",
         "sphere-fraction", "sphere-bool", "sphere-negative", "sphere-zero",

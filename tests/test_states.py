@@ -236,6 +236,27 @@ class TestClassicalQuantum:
             qd.classical_quantum_state(p, kets, [ID2 / 2, ID2 / 2])
 
 
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+    @pytest.mark.parametrize(
+        "name, build, match",
+        [
+            ("WEIGHT_FLOOR", lambda x: ([1.0 - x, x], 0.0), "^p must"),
+            ("WEIGHT_SUM_ATOL", lambda x: ([0.5, 0.5 + x], 0.0), "^p must"),
+            ("ORTHONORMAL_ATOL", lambda x: ([0.5, 0.5], x), "^kets are not orthonormal"),
+        ],
+        ids=["weight-floor", "weight-sum", "orthonormal"],
+    )
+    def test_tolerance_boundary(self, name, build, match, factor, accepted):
+        # the named constant, at half and at twice its value
+        p, tilt = build(factor * getattr(qd.states, name))
+        kets = [np.array([1.0, 0.0]), np.array([tilt, np.sqrt(1.0 - tilt**2)])]
+        if accepted:
+            qd.classical_quantum_state(p, kets, [ID2 / 2, ID2 / 2])
+        else:
+            with pytest.raises(qd.ValidationError, match=match):
+                qd.classical_quantum_state(p, kets, [ID2 / 2, ID2 / 2])
+
+
 class TestRandomGenerators:
     def test_density_matrix_valid_and_reproducible(self):
         a = qd.random_density_matrix(2, 3, 42)
@@ -304,6 +325,16 @@ class TestMeasurePrepareChannel:
         rho = qd.random_density_matrix(2, 2, 9)
         with pytest.raises(qd.ValidationError):
             qd.measure_prepare_channel_a(rho, [np.array([1, 1]), np.array([0, 1])])
+
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+    def test_ket_norm_tolerance_boundary(self, factor, accepted):
+        rho = qd.random_density_matrix(2, 2, 9)
+        kets = [np.array([1.0 + factor * qd.states.KET_NORM_ATOL, 0.0]), np.array([0.0, 1.0])]
+        if accepted:
+            qd.measure_prepare_channel_a(rho, kets)
+        else:
+            with pytest.raises(qd.ValidationError, match="^kets must be normalized"):
+                qd.measure_prepare_channel_a(rho, kets)
 
     def test_nan_ket_is_refused_by_argument(self):
         rho = qd.random_density_matrix(2, 2, 9)
